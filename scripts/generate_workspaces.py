@@ -152,13 +152,12 @@ def malformed_workspace():
 def idempotents_workspace():
     """Idempotents of the named fixtures, for the split-idempotent command."""
     from weakcp.fixtures import wdl_nabla
-    from weakcp.wcp import nabla
     a, lam = mined_law()
     q = flip_fixture(GF(3), "flip").setup.qv
     return {
         "field": GF(3).descriptor(),
         "morphisms": [
-            named("flip-nabla", {"mat": encode_mat(nabla(q).mat)}),
+            named("flip-nabla", {"mat": encode_mat(q.nabla.mat)}),
         ],
     }, {
         "field": GF(2).descriptor(),

@@ -150,7 +150,7 @@ def _cmd_iso(ws: Workspace, args):
 
         def build(s=s, nus=nus, extras=extras):
             bundle = build_iso(s, *nus)
-            extras["rank"] = bundle.outer_obj.dim
+            extras["rank"] = bundle.outer.dim
             return bundle.report
 
         yield name, _guarded(build), extras
@@ -252,11 +252,16 @@ _HANDLERS = {
 
 def _cmd_mine_wdl(args):
     """Run the miner and return (payload, text lines, exit code)."""
-    field = GF(args.field)
+    try:
+        field = GF(args.field)
+    except ValueError as exc:
+        raise WorkspaceError(str(exc), "--field")
     try:
         s, t = (int(x) for x in args.dims.split(","))
     except ValueError:
         raise WorkspaceError("expected two integers like 2,2", "--dims")
+    if s < 1 or t < 1:
+        raise WorkspaceError("dimensions must be positive", "--dims")
     a = diagonal_algebra("S", s, field)
     b = diagonal_algebra("T", t, field)
     if args.exhaustive:

@@ -28,9 +28,9 @@ from .fdvect import (
     vobj,
 )
 from .fields import GF, QQ
-from .iterate import IterSetup, iterated_preunit, psi_iter, quadruple_vw, sigma_iter
+from .iterate import IterSetup, iterated_preunit
 from .report import Report, ReportItem
-from .wcp import Quadruple, nabla, product_mu
+from .wcp import Quadruple
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def check_triple_formulas(t: LawTriple) -> Report:
     idb = identity(b.obj, b.field)
     idc = identity(c.obj, c.field)
     s = triple_setup(t)
-    qvw = quadruple_vw(s)
+    qvw = s.qvw
     rep = Report()
     rep.add(check_yang_baxter(a, b, c, t.l1, t.l2, t.l3))
 
@@ -310,14 +310,14 @@ def check_triple_formulas(t: LawTriple) -> Report:
         nu_w = tensor(a.unit, c.unit)
         nu_closed = tensor(a.unit, b.unit, c.unit)
 
-    rep.add(check_equal("falso-idemp2", psi_iter(s), FMor(
-        psi_iter(s).dom, psi_iter(s).cod, psi_closed.mat
+    rep.add(check_equal("falso-idemp2", qvw.psi, FMor(
+        qvw.psi.dom, qvw.psi.cod, psi_closed.mat
     ), note="closed form"))
-    rep.add(check_equal("def-sigma", sigma_iter(s), FMor(
-        sigma_iter(s).dom, sigma_iter(s).cod, sigma_closed.mat
+    rep.add(check_equal("def-sigma", qvw.sigma, FMor(
+        qvw.sigma.dom, qvw.sigma.cod, sigma_closed.mat
     ), note="closed form"))
-    rep.add(check_equal("product1", product_mu(qvw), FMor(
-        product_mu(qvw).dom, product_mu(qvw).cod, mu_closed.mat
+    rep.add(check_equal("product1", qvw.product, FMor(
+        qvw.product.dom, qvw.product.cod, mu_closed.mat
     ), note="closed form"))
     nu_vw, _ = iterated_preunit(s, nu_v, nu_w)
     rep.add(check_equal("iterated-preunit", nu_vw, FMor(
@@ -358,7 +358,7 @@ def check_brzezinski(q: Quadruple, eta_v: FMor) -> Report:
         item = ReportItem("brz3", True)
     rep.add(item)
     rep.add(check_equal(
-        "idem-wcp", nabla(q), identity(q.a @ q.v, q.field),
+        "idem-wcp", q.nabla, identity(q.a @ q.v, q.field),
         note="trivial idempotent",
     ))
     return rep

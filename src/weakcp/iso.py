@@ -11,6 +11,9 @@ A (x) V (x) W along the splittings: first to (A x V) (x) W through the
 inner projection/injection pair, then to the image of the restricted
 idempotent.  Associativity and unitality of the result are re-verified
 rather than inherited.
+
+:func:`build_iso` is one pipeline that builds each of the three crossed
+products once and stops at the first stage whose checks fail.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 
 from .fdvect import (
     FMor,
-    FObj,
     MonoidData,
     check_equal,
     check_monoid,
@@ -29,10 +31,10 @@ from .fdvect import (
     vobj,
 )
 from .kernel import rank, split_idempotent
-from .iterate import IterSetup, build_iterated, iterated_preunit, quadruple_vw
+from .iterate import IterSetup, build_iterated, iterated_preunit
 from .preunit import UnitalCrossedProduct, build_unital
 from .report import Report, ReportItem
-from .wcp import PreconditionError, nabla
+from .wcp import build_crossed_product, require
 
 
 def check_newit(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
@@ -41,7 +43,7 @@ def check_newit(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     mu = s.qv.monoid.mul
     psi_v, psi_w = s.qv.psi, s.qw.psi
     sig_v, sig_w = s.qv.sigma, s.qw.sigma
-    nab = nabla(quadruple_vw(s))
+    nab = s.qvw.nabla
     rep = Report()
     inner1 = compose(tensor(mu, idv), tensor(ida, psi_v), tensor(sig_v, ida))
     inner2 = compose(tensor(mu, idv), tensor(ida, sig_v))
@@ -66,37 +68,35 @@ def check_newit(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     return rep
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsoBundle:
-    """Staged state for the two-stage / one-shot comparison.
+    """Everything :func:`build_iso` built, all of it verified.
 
-    Populated incrementally by build_embeddings, build_omega and
-    verify_monoid_iso; ``report`` accumulates every check performed.
+    ``report`` holds every check of the comparison in the order it ran.
     """
 
-    setup: IterSetup
     ucp_v: UnitalCrossedProduct  # the monoid A x V
     ucp_w: UnitalCrossedProduct  # the monoid A x W
     ucp_vw: UnitalCrossedProduct  # the monoid A x (V (x) W)
-    nu_vw: FMor
     i_axv: FMor  # A x V -> A x (V (x) W)
     i_w: FMor  # W -> A x (V (x) W)
     nabla_axv_w: FMor  # restricted idempotent on (A x V) (x) W
+    outer: MonoidData  # the monoid (A x V) x W
+    omega: FMor  # (A x V) x W -> A x (V (x) W)
+    omega_inv: FMor
     report: Report
-    outer_obj: FObj | None = None
-    inj_outer: FMor | None = None
-    proj_outer: FMor | None = None
-    omega: FMor | None = None
-    omega_inv: FMor | None = None
-    outer: MonoidData | None = None
 
 
-def build_embeddings(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
-    """Build all three crossed products and the two embedding morphisms.
+def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
+    """Build both iterated monoids and verify that omega is an isomorphism.
 
-    Verifies the three extra identities first, then checks that the
-    embedding of A x V is a monoid morphism and that the restricted
-    idempotent is idempotent and linear over A x V.
+    Stages, each verified before the next: the combined quadruple and
+    preunit and the three unital crossed products; the three extra
+    identities; the embedding of A x V (a monoid morphism) and the
+    restricted idempotent on (A x V) (x) W (idempotent and linear over
+    A x V); omega and its inverse from the splitting of that idempotent;
+    and the monoid (A x V) x W, with omega a monoid isomorphism onto
+    A x (V (x) W) and the two sides of equal dimension.
     """
     field = s.field
     ida, idv, idw = s.ids()
@@ -104,84 +104,58 @@ def build_embeddings(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
 
     qvw, _ = build_iterated(s)
     nu_vw, _ = iterated_preunit(s, nu_v, nu_w)
-    ucp_vw = build_unital(qvw, nu_vw)
-    ucp_v = build_unital(s.qv, nu_v)
-    ucp_w = build_unital(s.qw, nu_w)
+    ucp_vw = build_unital(build_crossed_product(qvw), nu_vw)
+    ucp_v = build_unital(build_crossed_product(s.qv), nu_v)
+    ucp_w = build_unital(build_crossed_product(s.qw), nu_w)
+    cp_v, cp_vw = ucp_v.cp, ucp_vw.cp
 
-    rep = Report()
-    rep.extend(check_newit(s, nu_v, nu_w))
-    if not rep.ok:
-        raise PreconditionError(
-            "extra identities fail: " + ", ".join(rep.failed_labels()), rep
-        )
+    rep = require(check_newit(s, nu_v, nu_w), "extra identities fail")
 
-    p_avw = ucp_vw.cp.proj
-    p_av, i_av = ucp_v.cp.proj, ucp_v.cp.inj
-
+    # the embeddings and the restricted idempotent
     i_axv = compose(
-        p_avw,
+        cp_vw.proj,
         tensor(mu, idv, idw),
         tensor(ida, s.qv.psi, idw),
-        tensor(i_av, nu_w),
+        tensor(cp_v.inj, nu_w),
     )
-    i_axv = FMor(ucp_v.cp.obj, ucp_vw.cp.obj, i_axv.mat)
+    i_axv = FMor(cp_v.obj, cp_vw.obj, i_axv.mat)
     rep.add(check_equal(
         "i-axv-mult",
-        compose(i_axv, ucp_v.cp.mul),
-        compose(ucp_vw.cp.mul, tensor(i_axv, i_axv)),
+        compose(i_axv, cp_v.mul),
+        compose(cp_vw.mul, tensor(i_axv, i_axv)),
     ))
     rep.add(check_equal("i-axv-unit", compose(i_axv, ucp_v.unit), ucp_vw.unit))
 
-    i_w = compose(p_avw, tensor(nu_v, idw))
-    i_w = FMor(s.qw.v, ucp_vw.cp.obj, i_w.mat)
+    i_w = compose(cp_vw.proj, tensor(nu_v, idw))
+    i_w = FMor(s.qw.v, cp_vw.obj, i_w.mat)
 
-    nab_small = compose(tensor(p_av, idw), ucp_vw.cp.nabla, tensor(i_av, idw))
+    # (A x V) (x) W <-> A (x) V (x) W
+    inj_w, proj_w = tensor(cp_v.inj, idw), tensor(cp_v.proj, idw)
+    nab_small = compose(proj_w, qvw.nabla, inj_w)
     rep.add(check_equal(
         "nabla-axvw-idem", compose(nab_small, nab_small), nab_small
     ))
+    mul_w = tensor(cp_v.mul, idw)
     rep.add(check_equal(
         "nabla-axvw-linear",
-        compose(nab_small, tensor(ucp_v.cp.mul, idw)),
-        compose(tensor(ucp_v.cp.mul, idw),
-                tensor(identity(ucp_v.cp.obj, field), nab_small)),
+        compose(nab_small, mul_w),
+        compose(mul_w, tensor(identity(cp_v.obj, field), nab_small)),
     ))
-    if not rep.ok:
-        raise PreconditionError(
-            "embedding verification failed: " + ", ".join(rep.failed_labels()),
-            rep,
-        )
-    return IsoBundle(
-        setup=s, ucp_v=ucp_v, ucp_w=ucp_w, ucp_vw=ucp_vw, nu_vw=nu_vw,
-        i_axv=i_axv, i_w=i_w, nabla_axv_w=nab_small, report=rep,
-    )
+    require(rep, "embedding verification failed")
 
+    # omega and its inverse
+    sp = split_idempotent(nab_small.mat)
+    outer_obj = vobj(f"({cp_v.obj.factors[0][0]}xW)", sp.rank)
+    inj = FMor(outer_obj, nab_small.dom, sp.inj)
+    proj = FMor(nab_small.dom, outer_obj, sp.proj)
 
-def build_omega(bundle: IsoBundle):
-    """Split the restricted idempotent and build omega and its inverse.
-
-    Checks that the two composites are identities both ways and that
-    omega intertwines the projection with the product of the embeddings.
-    Returns (omega, omega_inv) and records everything on the bundle.
-    """
-    s = bundle.setup
-    field = s.field
-    idw = identity(s.qw.v, field)
-    ucp_v, ucp_vw = bundle.ucp_v, bundle.ucp_vw
-    rep = bundle.report
-
-    sp = split_idempotent(bundle.nabla_axv_w.mat)
-    outer_obj = vobj(f"({ucp_v.cp.obj.factors[0][0]}xW)", sp.rank)
-    inj = FMor(outer_obj, bundle.nabla_axv_w.dom, sp.inj)
-    proj = FMor(bundle.nabla_axv_w.dom, outer_obj, sp.proj)
-
-    omega = compose(ucp_vw.cp.proj, tensor(ucp_v.cp.inj, idw), inj)
-    omega = FMor(outer_obj, ucp_vw.cp.obj, omega.mat)
-    omega_inv = compose(proj, tensor(ucp_v.cp.proj, idw), ucp_vw.cp.inj)
-    omega_inv = FMor(ucp_vw.cp.obj, outer_obj, omega_inv.mat)
-
+    omega = compose(cp_vw.proj, inj_w, inj)
+    omega = FMor(outer_obj, cp_vw.obj, omega.mat)
+    omega_inv = compose(proj, proj_w, cp_vw.inj)
+    omega_inv = FMor(cp_vw.obj, outer_obj, omega_inv.mat)
     rep.add(check_equal(
         "omega-right-inv", compose(omega, omega_inv),
-        identity(ucp_vw.cp.obj, field),
+        identity(cp_vw.obj, field),
     ))
     rep.add(check_equal(
         "omega-left-inv", compose(omega_inv, omega),
@@ -190,43 +164,14 @@ def build_omega(bundle: IsoBundle):
     rep.add(check_equal(
         "omega-compat",
         compose(omega, proj),
-        compose(ucp_vw.cp.mul, tensor(bundle.i_axv, bundle.i_w)),
+        compose(cp_vw.mul, tensor(i_axv, i_w)),
     ))
-    if not rep.ok:
-        raise PreconditionError(
-            "omega verification failed: " + ", ".join(rep.failed_labels()), rep
-        )
-    bundle.outer_obj = outer_obj
-    bundle.inj_outer = inj
-    bundle.proj_outer = proj
-    bundle.omega = omega
-    bundle.omega_inv = omega_inv
-    return omega, omega_inv
+    require(rep, "omega verification failed")
 
-
-def verify_monoid_iso(bundle: IsoBundle) -> Report:
-    """Equip the two-stage object with its monoid structure and compare.
-
-    The product on (A x V) x W is the big product transported along the
-    splittings; its unit is the transported preunit.  The monoid axioms
-    are checked from scratch, then omega is verified to be a monoid
-    isomorphism, and the two sides are confirmed to have equal dimension.
-    """
-    s = bundle.setup
-    field = s.field
-    idw = identity(s.qw.v, field)
-    ucp_v, ucp_vw = bundle.ucp_v, bundle.ucp_vw
-    inj, proj = bundle.inj_outer, bundle.proj_outer
-    outer_obj = bundle.outer_obj
-    rep = bundle.report
-
-    mu_mid = compose(
-        tensor(ucp_v.cp.proj, idw),
-        ucp_vw.cp.mu_big,
-        tensor(tensor(ucp_v.cp.inj, idw), tensor(ucp_v.cp.inj, idw)),
-    )
+    # the two-stage monoid: the big product and the preunit, transported
+    mu_mid = compose(proj_w, qvw.product, tensor(inj_w, inj_w))
     mu_outer = compose(proj, mu_mid, tensor(inj, inj))
-    eta_outer = compose(proj, tensor(ucp_v.cp.proj, idw), bundle.nu_vw)
+    eta_outer = compose(proj, proj_w, nu_vw)
     outer = MonoidData(
         outer_obj.factors[0][0], outer_obj,
         FMor(outer_obj @ outer_obj, outer_obj, mu_outer.mat),
@@ -235,30 +180,18 @@ def verify_monoid_iso(bundle: IsoBundle) -> Report:
     rep.extend(check_monoid(outer, prefix="outer-"))
     rep.add(check_equal(
         "omega-mult",
-        compose(bundle.omega, outer.mul),
-        compose(ucp_vw.cp.mul, tensor(bundle.omega, bundle.omega)),
+        compose(omega, outer.mul),
+        compose(cp_vw.mul, tensor(omega, omega)),
     ))
-    rep.add(check_equal(
-        "omega-unit", compose(bundle.omega, outer.unit), ucp_vw.unit
-    ))
+    rep.add(check_equal("omega-unit", compose(omega, outer.unit), ucp_vw.unit))
     rep.add(ReportItem(
         "rank-match",
-        outer_obj.dim == ucp_vw.cp.obj.dim
-        and rank(bundle.nabla_axv_w.mat) == rank(ucp_vw.cp.nabla.mat),
+        outer_obj.dim == cp_vw.obj.dim
+        and rank(nab_small.mat) == rank(qvw.nabla.mat),
     ))
-    bundle.outer = outer
-    return rep
-
-
-def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
-    """Run the full pipeline: embeddings, omega, and the monoid check."""
-    bundle = build_embeddings(s, nu_v, nu_w)
-    build_omega(bundle)
-    verify_monoid_iso(bundle)
-    if not bundle.report.ok:
-        raise PreconditionError(
-            "isomorphism verification failed: "
-            + ", ".join(bundle.report.failed_labels()),
-            bundle.report,
-        )
-    return bundle
+    require(rep, "isomorphism verification failed")
+    return IsoBundle(
+        ucp_v=ucp_v, ucp_w=ucp_w, ucp_vw=ucp_vw, i_axv=i_axv, i_w=i_w,
+        nabla_axv_w=nab_small, outer=outer, omega=omega, omega_inv=omega_inv,
+        report=rep,
+    )

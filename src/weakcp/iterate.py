@@ -11,25 +11,22 @@ checking every hypothesis and every claimed consequence along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fdvect import FMor, check_equal, compose, identity, tensor
 from .preunit import check_pre_system, check_preunit_axioms
 from .report import Report
-from .wcp import (
-    PreconditionError,
-    Quadruple,
-    check_cocycle,
-    check_quadruple,
-    check_twisted,
-    check_wmeas,
-    nabla,
-    product_mu,
-)
+from .wcp import PreconditionError, Quadruple, check_quadruple, require
 
 
 @dataclass(frozen=True)
 class IterSetup:
-    """Two quadruples over one monoid, with link and twisting morphisms."""
+    """Two quadruples over one monoid, with link and twisting morphisms.
+
+    ``qvw``, the combined quadruple on V (x) W, is built on first use and
+    then kept; its ``psi``, ``sigma``, ``nabla`` and ``product`` are the
+    combined structure maps.
+    """
 
     qv: Quadruple
     qw: Quadruple
@@ -59,37 +56,25 @@ class IterSetup:
             identity(self.qw.v, f),
         )
 
+    @cached_property
+    def qvw(self) -> Quadruple:
+        """The combined quadruple on V (x) W (without any checking).
 
-def psi_iter(s: IterSetup) -> FMor:
-    """psi on V (x) W: (psi_V (x) W) o (V (x) psi_W) o (Delta (x) A)."""
-    ida, idv, idw = s.ids()
-    raw = compose(tensor(s.qv.psi, idw), tensor(idv, s.qw.psi), tensor(s.delta, ida))
-    vw, a = s.qv.v @ s.qw.v, s.qv.a
-    return FMor(vw @ a, a @ vw, raw.mat)
-
-
-def nabla_iter(s: IterSetup) -> FMor:
-    """The canonical idempotent on A (x) V (x) W for the combined psi."""
-    return nabla(quadruple_vw(s))
-
-
-def sigma_iter(s: IterSetup) -> FMor:
-    """sigma on V (x) W built from sigma_V, sigma_W and the twisting."""
-    ida, idv, idw = s.ids()
-    mu = s.qv.monoid.mul
-    raw = compose(
-        tensor(mu, idv, idw),
-        tensor(ida, s.qv.psi, idw),
-        tensor(s.qv.sigma, s.qw.sigma),
-        tensor(idv, s.tau, idw),
-    )
-    vw, a = s.qv.v @ s.qw.v, s.qv.a
-    return FMor(vw @ vw, a @ vw, raw.mat)
-
-
-def quadruple_vw(s: IterSetup) -> Quadruple:
-    """The combined quadruple on V (x) W (without any checking)."""
-    return Quadruple(s.qv.monoid, s.qv.v @ s.qw.v, psi_iter(s), sigma_iter(s))
+        psi = (psi_V (x) W) o (V (x) psi_W) o (Delta (x) A), and sigma is
+        built from sigma_V, sigma_W and the twisting.
+        """
+        ida, idv, idw = self.ids()
+        qv, qw = self.qv, self.qw
+        psi = compose(tensor(qv.psi, idw), tensor(idv, qw.psi), tensor(self.delta, ida))
+        sigma = compose(
+            tensor(qv.monoid.mul, idv, idw),
+            tensor(ida, qv.psi, idw),
+            tensor(qv.sigma, qw.sigma),
+            tensor(idv, self.tau, idw),
+        )
+        vw, a = qv.v @ qw.v, qv.a
+        return Quadruple(qv.monoid, vw, FMor(vw @ a, a @ vw, psi.mat),
+                         FMor(vw @ vw, a @ vw, sigma.mat))
 
 
 def check_link(s: IterSetup) -> Report:
@@ -100,9 +85,8 @@ def check_link(s: IterSetup) -> Report:
     All four statements are verified, not assumed.
     """
     ida, idv, idw = s.ids()
-    psi_vw = psi_iter(s)
-    qvw = quadruple_vw(s)
-    nab = nabla(qvw)
+    qvw = s.qvw
+    psi_vw, nab = qvw.psi, qvw.nabla
     rep = Report()
     rep.add(check_equal(
         "falso-idemp",
@@ -114,8 +98,7 @@ def check_link(s: IterSetup) -> Report:
         psi_vw,
         compose(nab, tensor(s.qv.psi, idw), tensor(idv, s.qw.psi)),
     ))
-    wm = check_wmeas(qvw)
-    rep.add(wm)
+    rep.add(qvw.wmeas)
     rep.add(check_equal("falso-idemp-link", psi_vw, compose(nab, psi_vw)))
     return rep
 
@@ -156,7 +139,7 @@ def check_twisting(s: IterSetup) -> Report:
 
 def check_sigma_conditions(s: IterSetup) -> Report:
     """Compatibility of the combined sigma with the link morphism."""
-    sig = sigma_iter(s)
+    sig = s.qvw.sigma
     ida, idv, idw = s.ids()
     idvw = tensor(idv, idw)
     rep = Report()
@@ -179,34 +162,23 @@ def build_iterated(s: IterSetup):
     """
     pre = Report()
     for q, tag in ((s.qv, "first"), (s.qw, "second")):
-        for item in (check_wmeas(q), check_twisted(q), check_cocycle(q)):
+        for item in (q.wmeas, q.twisted, q.cocycle):
             pre.add(type(item)(item.label, item.passed, item.witness,
                                note=f"{tag} factor"))
     pre.extend(check_link(s))
     pre.extend(check_twisting(s))
     pre.extend(check_sigma_conditions(s))
-    if not pre.ok:
-        raise PreconditionError(
-            "iteration hypotheses fail: " + ", ".join(pre.failed_labels()), pre
-        )
-    qvw = quadruple_vw(s)
-    rep = Report()
-    rep.extend(pre)
-    rep.extend(check_quadruple(qvw))
-    if not rep.ok:
-        raise PreconditionError(
-            "combined quadruple fails: " + ", ".join(rep.failed_labels()), rep
-        )
-    return qvw, rep
+    rep = require(pre, "iteration hypotheses fail")
+    rep.extend(check_quadruple(s.qvw))
+    require(rep, "combined quadruple fails")
+    return s.qvw, rep
 
 
 def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     """The two extra equations needed to combine the two preunits."""
     ida, idv, idw = s.ids()
     mu = s.qv.monoid.mul
-    qvw = quadruple_vw(s)
-    nab = nabla(qvw)
-    target = compose(nab, tensor(s.qv.monoid.unit, idv, idw))
+    target = compose(s.qvw.nabla, tensor(s.qv.monoid.unit, idv, idw))
     rep = Report()
     rep.add(check_equal(
         "pre-1",
@@ -241,38 +213,24 @@ def iterated_preunit(s: IterSetup, nu_v: FMor, nu_w: FMor):
     quadruple are verified; returns (nu, report).
     """
     for q, nu, tag in ((s.qv, nu_v, "first"), (s.qw, nu_w, "second")):
-        chk = check_preunit_axioms(product_mu(q), nu, label="preunit")
+        chk = check_preunit_axioms(q.product, nu, label="preunit")
         if not chk.passed:
             raise PreconditionError(
                 f"the {tag} preunit is not a preunit for its product",
                 Report([chk]),
             )
-    pre = check_iterated_preunit_hypotheses(s, nu_v, nu_w)
-    if not pre.ok:
-        raise PreconditionError(
-            "iterated preunit hypotheses fail: "
-            + ", ".join(pre.failed_labels()),
-            pre,
-        )
+    rep = require(check_iterated_preunit_hypotheses(s, nu_v, nu_w),
+                  "iterated preunit hypotheses fail")
     ida, idv, idw = s.ids()
-    mu = s.qv.monoid.mul
-    qvw = quadruple_vw(s)
-    nab = nabla(qvw)
+    qvw = s.qvw
     raw = compose(
-        nab,
-        tensor(mu, idv, idw),
+        qvw.nabla,
+        tensor(qvw.monoid.mul, idv, idw),
         tensor(ida, s.qv.psi, idw),
         tensor(nu_v, nu_w),
     )
     nu_vw = FMor(raw.dom, qvw.a @ qvw.v, raw.mat)
-    rep = Report()
-    rep.extend(pre)
-    rep.add(check_preunit_axioms(product_mu(qvw), nu_vw, label="iterated-preunit"))
+    rep.add(check_preunit_axioms(qvw.product, nu_vw, label="iterated-preunit"))
     rep.extend(check_pre_system(qvw, nu_vw))
-    if not rep.ok:
-        raise PreconditionError(
-            "iterated preunit fails verification: "
-            + ", ".join(rep.failed_labels()),
-            rep,
-        )
+    require(rep, "iterated preunit fails verification")
     return nu_vw, rep

@@ -13,9 +13,8 @@ Conventions (fixed for the whole engine):
   the tensor product of matrices is the standard Kronecker product under
   that indexing.
 
-When the compiled extension is available, prime-field composition and
-tensor products run through it; the pure-Python path computes identical
-results (``weakcp.kernel.BACKEND`` tells which one is active).
+There is one backend, plain Python on exact entries: Python integers do
+not overflow, so prime-field arithmetic is exact for every prime.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from dataclasses import dataclass
 
 from .fields import PrimeField, same_field
 
-try:
-    from . import _speedups
-except ImportError:  # pragma: no cover - depends on how the package was built
-    _speedups = None
-
-BACKEND = "pure" if _speedups is None else "compiled"
+BACKEND = "pure"  # the only backend; bench/run.py records it in its env line
 
 
 class ShapeError(ValueError):
@@ -120,13 +114,6 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
             f"cannot compose {g.rows}x{g.cols} with {f.rows}x{f.cols}: "
             f"{g.cols} != {f.rows}"
         )
-    if isinstance(field, PrimeField) and _speedups is not None:
-        flat = _speedups.matmul_mod(list(g.entries), g.rows, g.cols, list(f.entries), f.cols, field.p)
-        return Mat(g.rows, f.cols, tuple(flat), field)
-    return Mat(g.rows, f.cols, tuple(_matmul_flat(g, f, field)), field)
-
-
-def _matmul_flat(g, f, field):
     n, k, m = g.rows, g.cols, f.cols
     ge, fe = g.entries, f.entries
     zero = field.zero()
@@ -152,20 +139,12 @@ def _matmul_flat(g, f, field):
                         if fv:
                             acc = acc + gv * fv
                 out.append(acc)
-    return out
+    return Mat(n, m, tuple(out), field)
 
 
 def mat_tensor(f: Mat, g: Mat) -> Mat:
     """Kronecker product f (x) g."""
     field = same_field(f.field, g.field)
-    rows, cols = f.rows * g.rows, f.cols * g.cols
-    if isinstance(field, PrimeField) and _speedups is not None:
-        flat = _speedups.kron_mod(list(f.entries), f.rows, f.cols, list(g.entries), g.rows, g.cols, field.p)
-        return Mat(rows, cols, tuple(flat), field)
-    return Mat(rows, cols, tuple(_kron_flat(f, g, field)), field)
-
-
-def _kron_flat(f, g, field):
     rows, cols = f.rows * g.rows, f.cols * g.cols
     modp = isinstance(field, PrimeField)
     zero = field.zero()
@@ -182,7 +161,7 @@ def _kron_flat(f, g, field):
                     b = ge[i2 * g.cols + j2]
                     if b:
                         out[base + j2] = (a * b) % field.p if modp else a * b
-    return out
+    return Mat(rows, cols, tuple(out), field)
 
 
 def mat_eq(f: Mat, g: Mat) -> bool:

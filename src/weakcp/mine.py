@@ -51,7 +51,6 @@ def _wdl_predicate(a: MonoidData, b: MonoidData):
     are evaluated.
     """
     ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    ba, ab = b.obj @ a.obj, a.obj @ b.obj
     mu_ab = tensor(a.mul, idb)
     amu_b = tensor(ida, b.mul)
 
@@ -70,36 +69,60 @@ def _wdl_predicate(a: MonoidData, b: MonoidData):
             compose(amu_b, tensor(lam, idb), tensor(idb, lam)).mat,
         )
 
-    return ba, ab, accept
+    return accept
+
+
+def _law_space(a: MonoidData, b: MonoidData):
+    """(field, B (x) A, A (x) B) of the candidate laws; the field must be
+    prime, so that the candidates are finitely many."""
+    f = a.field
+    if not isinstance(f, PrimeField):
+        raise ValueError("mining enumerates matrices over a prime field")
+    return f, b.obj @ a.obj, a.obj @ b.obj
 
 
 def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
     """The candidate law encoded by an integer in the fixed enumeration."""
-    f = a.field
-    if not isinstance(f, PrimeField):
-        raise ValueError("mining enumerates matrices over a prime field")
-    ba, ab = b.obj @ a.obj, a.obj @ b.obj
-    n = ba.dim * ab.dim
+    f, ba, ab = _law_space(a, b)
     p = f.p
     entries = []
-    c = code
-    for _ in range(n):
-        entries.append(c % p)
-        c //= p
+    for _ in range(ba.dim * ab.dim):
+        entries.append(code % p)
+        code //= p
     return FMor(ba, ab, Mat(ab.dim, ba.dim, tuple(entries), f))
 
 
-def _classify(a, b, lam, code) -> MinedLaw:
-    nab = wdl_nabla(a, b, lam)
-    return MinedLaw(
-        code=code,
-        law=lam,
-        nabla_rank=rank(nab.mat),
-        self_yang_baxter=(
-            a.dim == b.dim
-            and check_yang_baxter(a, b, b, lam, lam, lam).passed is True
-        ),
-    )
+def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:
+    """Keep and classify the laws among the inspected candidates.
+
+    ``codes`` maps the size of the candidate space to the codes of the
+    candidates to inspect, in order.
+    """
+    f, ba, ab = _law_space(a, b)
+    accept = _wdl_predicate(a, b)
+    idmat = identity_mat(ab.dim, f)
+    result = MineResult()
+    for code in codes(f.p ** (ba.dim * ab.dim)):
+        lam = law_from_code(a, b, code)
+        if not accept(lam):
+            continue
+        nab = wdl_nabla(a, b, lam)
+        info = MinedLaw(
+            code=code,
+            law=lam,
+            nabla_rank=rank(nab.mat),
+            self_yang_baxter=(
+                a.dim == b.dim
+                and check_yang_baxter(a, b, b, lam, lam, lam).passed is True
+            ),
+        )
+        result.total += 1
+        result.laws.append(info)
+        if not mat_eq(nab.mat, idmat):
+            result.weak += 1
+            if info.nabla_rank > 0:
+                result.nondegenerate += 1
+    return result
 
 
 def mine_wdl(a: MonoidData, b: MonoidData, limit: int | None = None) -> MineResult:
@@ -109,57 +132,22 @@ def mine_wdl(a: MonoidData, b: MonoidData, limit: int | None = None) -> MineResu
     full space has p**(dim(A)*dim(B))**2 elements, so this is only
     feasible for very small dimensions.
     """
-    f = a.field
-    if not isinstance(f, PrimeField):
-        raise ValueError("mining enumerates matrices over a prime field")
-    ba, ab, accept = _wdl_predicate(a, b)
-    n = ba.dim * ab.dim
-    space = f.p ** n
-    if limit is not None:
-        space = min(space, limit)
-    idmat = identity_mat(ab.dim, f)
-    result = MineResult()
-    for code in range(space):
-        lam = law_from_code(a, b, code)
-        if not accept(lam):
-            continue
-        result.total += 1
-        info = _classify(a, b, lam, code)
-        result.laws.append(info)
-        if not mat_eq(wdl_nabla(a, b, lam).mat, idmat):
-            result.weak += 1
-            if info.nabla_rank > 0:
-                result.nondegenerate += 1
-    return result
+    return _mine(a, b, lambda space: range(
+        space if limit is None else min(space, limit)))
 
 
 def mine_wdl_random(a: MonoidData, b: MonoidData, seed: int, tries: int) -> MineResult:
     """Seeded random search for laws in spaces too large to enumerate."""
-    f = a.field
-    if not isinstance(f, PrimeField):
-        raise ValueError("mining enumerates matrices over a prime field")
-    ba, ab, accept = _wdl_predicate(a, b)
-    n = ba.dim * ab.dim
-    rng = random.Random(seed)
-    idmat = identity_mat(ab.dim, f)
-    result = MineResult()
-    seen = set()
-    for _ in range(tries):
-        code = rng.randrange(f.p ** n)
-        if code in seen:
-            continue
-        seen.add(code)
-        lam = law_from_code(a, b, code)
-        if not accept(lam):
-            continue
-        result.total += 1
-        info = _classify(a, b, lam, code)
-        result.laws.append(info)
-        if not mat_eq(wdl_nabla(a, b, lam).mat, idmat):
-            result.weak += 1
-            if info.nabla_rank > 0:
-                result.nondegenerate += 1
-    return result
+    def codes(space):
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(tries):
+            code = rng.randrange(space)
+            if code not in seen:
+                seen.add(code)
+                yield code
+
+    return _mine(a, b, codes)
 
 
 # Frozen reference values for the search over GF(2) with both monoids the

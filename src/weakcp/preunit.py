@@ -17,20 +17,12 @@ from .fdvect import (
     FObj,
     MonoidData,
     check_equal,
-    check_monoid,
     compose,
     identity,
     tensor,
 )
 from .report import Report, ReportItem
-from .wcp import (
-    CrossedProduct,
-    PreconditionError,
-    Quadruple,
-    build_crossed_product,
-    nabla,
-    product_mu,
-)
+from .wcp import CrossedProduct, PreconditionError, Quadruple, require
 
 
 def beta_nu(q: Quadruple, nu: FMor) -> FMor:
@@ -69,7 +61,7 @@ def check_pre_system(q: Quadruple, nu: FMor) -> Report:
     ida, idv = q.ids()
     mu = q.monoid.mul
     muv = tensor(mu, idv)
-    nab = nabla(q)
+    nab = q.nabla
     target = compose(nab, tensor(q.monoid.unit, idv))
     rep = Report()
     rep.add(check_equal(
@@ -102,41 +94,42 @@ class UnitalCrossedProduct:
     report: Report
 
 
-def build_unital(q: Quadruple, nu: FMor) -> UnitalCrossedProduct:
-    """Build the monoid on the image of nabla from a preunit.
+def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
+    """Extend a built crossed product to a monoid by a preunit.
 
     Verifies the preunit system first; afterwards re-checks that nu is a
     genuine preunit for the product, that the two idempotents (from psi
-    and from nu) coincide, the full monoid axioms for the induced unit,
-    and that beta transported to the image is a monoid morphism.
+    and from nu) coincide, the unit laws for the induced unit on the
+    image (associativity there is ``cp``'s own ``assoc`` check), and that
+    beta transported to the image is a monoid morphism.
     """
-    pre = check_pre_system(q, nu)
-    if not pre.ok:
-        raise PreconditionError(
-            "preunit system fails: " + ", ".join(pre.failed_labels()), pre
-        )
-    cp = build_crossed_product(q)
+    q = cp.quad
+    rep = require(check_pre_system(q, nu), "preunit system fails")
     unit = compose(cp.proj, nu)
     axv = MonoidData(cp.obj.factors[0][0], cp.obj, cp.mul, unit)
 
-    rep = Report()
-    rep.extend(pre)
-    rep.add(check_preunit_axioms(cp.mu_big, nu))
-    rep.add(check_equal("nu-nabla", nabla_nu(cp.mu_big, nu), cp.nabla))
-    rep.extend(check_monoid(axv, prefix="product-"))
+    rep.add(check_preunit_axioms(q.product, nu))
+    rep.add(check_equal("nu-nabla", nabla_nu(q.product, nu), q.nabla))
+    idx = identity(cp.obj, q.field)
+    rep.add(check_equal(
+        "product-unit-left", compose(cp.mul, tensor(unit, idx)), idx
+    ))
+    rep.add(check_equal(
+        "product-unit-right", compose(cp.mul, tensor(idx, unit)), idx
+    ))
 
-    ida = identity(q.a, q.field)
+    ida, idv = q.ids()
     beta = beta_nu(q, nu)
     rep.add(check_equal("beta-eta", compose(beta, q.monoid.unit), nu))
     rep.add(check_equal(
         "beta-mult",
-        compose(cp.mu_big, tensor(beta, beta)),
+        compose(q.product, tensor(beta, beta)),
         compose(beta, q.monoid.mul),
     ))
     rep.add(check_equal(
         "beta-linear",
         compose(beta, q.monoid.mul),
-        compose(tensor(q.monoid.mul, identity(q.v, q.field)), tensor(ida, beta)),
+        compose(tensor(q.monoid.mul, idv), tensor(ida, beta)),
     ))
     beta_bar = compose(cp.proj, beta)
     rep.add(check_equal(
@@ -145,12 +138,7 @@ def build_unital(q: Quadruple, nu: FMor) -> UnitalCrossedProduct:
         compose(beta_bar, q.monoid.mul),
     ))
     rep.add(check_equal("beta-bar-unit", compose(beta_bar, q.monoid.unit), unit))
-    if not rep.ok:
-        raise PreconditionError(
-            "unital construction postconditions failed: "
-            + ", ".join(rep.failed_labels()),
-            rep,
-        )
+    require(rep, "unital construction postconditions failed")
     return UnitalCrossedProduct(cp=cp, nu=nu, unit=unit, monoid=axv, report=rep)
 
 
@@ -185,12 +173,7 @@ def derive_psi_sigma(a: MonoidData, v: FObj, m: FMor, nu: FMor):
     hyp.add(check_equal(
         "product-normal-right", compose(m, tensor(nab, nab)), m
     ))
-    if not hyp.ok:
-        raise PreconditionError(
-            "product fails recovery hypotheses: "
-            + ", ".join(hyp.failed_labels()),
-            hyp,
-        )
+    require(hyp, "product fails recovery hypotheses")
 
     beta = compose(muv, tensor(ida, nu))
     psi = compose(m, tensor(a.unit, idv, beta))
@@ -199,7 +182,7 @@ def derive_psi_sigma(a: MonoidData, v: FObj, m: FMor, nu: FMor):
     sigma = FMor(v @ v, a.obj @ v, sigma.mat)
     q = Quadruple(a, v, psi, sigma)
 
-    hyp.add(check_equal("fi-wcp", product_mu(q), m, note="round trip"))
+    hyp.add(check_equal("fi-wcp", q.product, m, note="round trip"))
     if not hyp.ok:
         raise PreconditionError("recovered quadruple does not reproduce the product", hyp)
     return q, hyp

@@ -10,6 +10,7 @@ every defining and derived identity by exact matrix comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fdvect import (
     FMor,
@@ -18,11 +19,10 @@ from .fdvect import (
     check_equal,
     compose,
     identity,
-    mor_eq,
     tensor,
     vobj,
 )
-from .kernel import Splitting, split_idempotent
+from .kernel import split_idempotent
 from .report import Report, ReportItem
 
 
@@ -37,12 +37,25 @@ class PreconditionError(ValueError):
         self.report = report
 
 
+def require(rep: Report, what: str) -> Report:
+    """Return ``rep`` if no item failed, else raise a PreconditionError
+    naming the failed labels after ``what``."""
+    if not rep.ok:
+        raise PreconditionError(f"{what}: " + ", ".join(rep.failed_labels()), rep)
+    return rep
+
+
 @dataclass(frozen=True)
 class Quadruple:
     """A quadruple (A, V, psi, sigma).
 
     ``psi`` must be a map V (x) A -> A (x) V and ``sigma`` a map
     V (x) V -> A (x) V; shapes are validated on construction.
+
+    The canonical idempotent ``nabla``, the product ``product`` on
+    A (x) V and the four defining conditions ``wmeas``, ``twisted``,
+    ``cocycle`` and ``normalized`` are computed on first use and then
+    kept, so every construction over one quadruple shares them.
     """
 
     monoid: MonoidData
@@ -75,70 +88,91 @@ class Quadruple:
         """(id_A, id_V) over the quadruple's field."""
         return identity(self.a, self.field), identity(self.v, self.field)
 
+    @cached_property
+    def nabla(self) -> FMor:
+        """The canonical idempotent on A (x) V.
 
-def nabla(q: Quadruple) -> FMor:
-    """The canonical idempotent on A (x) V.
+        nabla = (mu (x) V) o (A (x) psi) o (A (x) V (x) eta).
+        """
+        ida, idv = self.ids()
+        return compose(
+            tensor(self.monoid.mul, idv),
+            tensor(ida, self.psi),
+            tensor(ida, idv, self.monoid.unit),
+        )
 
-    nabla = (mu (x) V) o (A (x) psi) o (A (x) V (x) eta).
-    """
-    ida, idv = q.ids()
-    return compose(
-        tensor(q.monoid.mul, idv),
-        tensor(ida, q.psi),
-        tensor(ida, idv, q.monoid.unit),
-    )
+    @cached_property
+    def product(self) -> FMor:
+        """The crossed-product multiplication on A (x) V.
 
-
-def check_wmeas(q: Quadruple) -> ReportItem:
-    """Weak measuring: (mu(x)V) o (A(x)psi) o (psi(x)A) = psi o (V(x)mu)."""
-    ida, idv = q.ids()
-    return check_equal(
-        "wmeas-wcp",
-        compose(tensor(q.monoid.mul, idv), tensor(ida, q.psi), tensor(q.psi, ida)),
-        compose(q.psi, tensor(idv, q.monoid.mul)),
-    )
-
-
-def check_twisted(q: Quadruple) -> ReportItem:
-    """Twisted condition relating psi and sigma."""
-    ida, idv = q.ids()
-    mu = q.monoid.mul
-    return check_equal(
-        "twis-wcp",
-        compose(tensor(mu, idv), tensor(ida, q.psi), tensor(q.sigma, ida)),
-        compose(
+        mu_{A(x)V} = (mu (x) V) o (mu (x) sigma) o (A (x) psi (x) V).
+        """
+        ida, idv = self.ids()
+        mu = self.monoid.mul
+        return compose(
             tensor(mu, idv),
-            tensor(ida, q.sigma),
-            tensor(q.psi, idv),
-            tensor(idv, q.psi),
-        ),
-    )
+            tensor(mu, self.sigma),
+            tensor(ida, self.psi, idv),
+        )
 
+    @cached_property
+    def wmeas(self) -> ReportItem:
+        """Weak measuring: (mu(x)V) o (A(x)psi) o (psi(x)A) = psi o (V(x)mu)."""
+        ida, idv = self.ids()
+        mu = self.monoid.mul
+        return check_equal(
+            "wmeas-wcp",
+            compose(tensor(mu, idv), tensor(ida, self.psi), tensor(self.psi, ida)),
+            compose(self.psi, tensor(idv, mu)),
+        )
 
-def check_cocycle(q: Quadruple) -> ReportItem:
-    """2-cocycle condition for sigma."""
-    ida, idv = q.ids()
-    mu = q.monoid.mul
-    return check_equal(
-        "cocy2-wcp",
-        compose(tensor(mu, idv), tensor(ida, q.sigma), tensor(q.sigma, idv)),
-        compose(
-            tensor(mu, idv),
-            tensor(ida, q.sigma),
-            tensor(q.psi, idv),
-            tensor(idv, q.sigma),
-        ),
-    )
+    @cached_property
+    def twisted(self) -> ReportItem:
+        """Twisted condition relating psi and sigma."""
+        ida, idv = self.ids()
+        mu = self.monoid.mul
+        return check_equal(
+            "twis-wcp",
+            compose(tensor(mu, idv), tensor(ida, self.psi), tensor(self.sigma, ida)),
+            compose(
+                tensor(mu, idv),
+                tensor(ida, self.sigma),
+                tensor(self.psi, idv),
+                tensor(idv, self.psi),
+            ),
+        )
 
+    @cached_property
+    def cocycle(self) -> ReportItem:
+        """2-cocycle condition for sigma."""
+        ida, idv = self.ids()
+        mu = self.monoid.mul
+        return check_equal(
+            "cocy2-wcp",
+            compose(tensor(mu, idv), tensor(ida, self.sigma), tensor(self.sigma, idv)),
+            compose(
+                tensor(mu, idv),
+                tensor(ida, self.sigma),
+                tensor(self.psi, idv),
+                tensor(idv, self.sigma),
+            ),
+        )
 
-def check_sigma_normalized(q: Quadruple) -> ReportItem:
-    """nabla o sigma = sigma."""
-    return check_equal("idemp-sigma-inv", compose(nabla(q), q.sigma), q.sigma)
+    @cached_property
+    def normalized(self) -> ReportItem:
+        """nabla o sigma = sigma."""
+        return check_equal(
+            "idemp-sigma-inv", compose(self.nabla, self.sigma), self.sigma
+        )
+
+    def conditions(self) -> Report:
+        """The four defining conditions, in registry order."""
+        return Report([self.wmeas, self.twisted, self.cocycle, self.normalized])
 
 
 def normalize_sigma(q: Quadruple) -> Quadruple:
     """Replace sigma by nabla o sigma, which is always normalized."""
-    return Quadruple(q.monoid, q.v, q.psi, compose(nabla(q), q.sigma))
+    return Quadruple(q.monoid, q.v, q.psi, compose(q.nabla, q.sigma))
 
 
 def check_quadruple(q: Quadruple) -> Report:
@@ -147,12 +181,8 @@ def check_quadruple(q: Quadruple) -> Report:
     The idempotency and left A-linearity of nabla are consequences of the
     weak measuring condition, but they are re-checked rather than trusted.
     """
-    rep = Report()
-    rep.add(check_wmeas(q))
-    rep.add(check_twisted(q))
-    rep.add(check_cocycle(q))
-    rep.add(check_sigma_normalized(q))
-    nab = nabla(q)
+    rep = q.conditions()
+    nab = q.nabla
     rep.add(check_equal("idem-wcp", compose(nab, nab), nab))
     ida, idv = q.ids()
     muv = tensor(q.monoid.mul, idv)
@@ -162,20 +192,6 @@ def check_quadruple(q: Quadruple) -> Report:
         compose(muv, tensor(ida, nab)),
     ))
     return rep
-
-
-def product_mu(q: Quadruple) -> FMor:
-    """The crossed-product multiplication on A (x) V.
-
-    mu_{A(x)V} = (mu (x) V) o (mu (x) sigma) o (A (x) psi (x) V).
-    """
-    ida, idv = q.ids()
-    mu = q.monoid.mul
-    return compose(
-        tensor(mu, idv),
-        tensor(mu, q.sigma),
-        tensor(ida, q.psi, idv),
-    )
 
 
 def check_derived_identities(q: Quadruple) -> Report:
@@ -188,7 +204,7 @@ def check_derived_identities(q: Quadruple) -> Report:
     """
     ida, idv = q.ids()
     mu = q.monoid.mul
-    nab = nabla(q)
+    nab = q.nabla
     muv = tensor(mu, idv)
     rep = Report()
 
@@ -198,7 +214,7 @@ def check_derived_identities(q: Quadruple) -> Report:
         mid = check_equal("fi-nab", base, compose(nab, base))
     rep.add(mid)
 
-    twisted = check_twisted(q).passed
+    twisted = q.twisted.passed
     sig_part = compose(muv, tensor(ida, q.sigma), tensor(q.psi, idv))
     if twisted:
         rep.add(check_equal(
@@ -216,8 +232,7 @@ def check_derived_identities(q: Quadruple) -> Report:
         rep.add(ReportItem("c1", None, note=note))
         rep.add(ReportItem("aw", None, note=note))
 
-    normalized = twisted and mor_eq(compose(nab, q.sigma), q.sigma)
-    if normalized:
+    if twisted and q.normalized.passed:
         rep.add(check_equal(
             "c11",
             compose(sig_part, tensor(idv, nab)),
@@ -239,18 +254,16 @@ def check_derived_identities(q: Quadruple) -> Report:
 class CrossedProduct:
     """A built weak crossed product.
 
-    ``obj`` is the split image of nabla with injection ``inj`` and
-    projection ``proj``; ``mu_big`` is the product on A (x) V and ``mul``
-    the induced associative product on the image.  ``report`` records the
-    post-construction verifications.
+    ``obj`` is the split image of ``quad.nabla`` with injection ``inj``
+    and projection ``proj``; ``mul`` is the associative product that
+    ``quad.product`` induces on the image.  ``report`` records the
+    defining conditions and the post-construction verifications.
     """
 
     quad: Quadruple
-    nabla: FMor
     obj: FObj
     inj: FMor
     proj: FMor
-    mu_big: FMor
     mul: FMor
     report: Report
 
@@ -259,48 +272,27 @@ class CrossedProduct:
         return self.obj.dim
 
 
-def split_nabla(q: Quadruple):
-    """Split the canonical idempotent; returns (obj, inj, proj, nabla)."""
-    nab = nabla(q)
-    s: Splitting = split_idempotent(nab.mat)
-    av = q.a @ q.v
-    vname = ".".join(n for n, _ in q.v.factors) or "K"
-    name = f"({q.monoid.name}x{vname})"
-    obj = vobj(name, s.rank)
-    inj = FMor(obj, av, s.inj)
-    proj = FMor(av, obj, s.proj)
-    return obj, inj, proj, nab
-
-
-def build_crossed_product(q: Quadruple, require_normalized: bool = True) -> CrossedProduct:
+def build_crossed_product(q: Quadruple) -> CrossedProduct:
     """Construct the weak crossed product, verifying everything.
 
-    Preconditions (weak measuring, twisted, cocycle, and optionally a
-    normalized sigma) are checked first; on failure a PreconditionError
-    carrying the offending report is raised.  After the construction the
-    associativity and normalization of the product are re-verified and the
-    results recorded in the returned report.
+    Preconditions (weak measuring, twisted, cocycle and a normalized
+    sigma) are checked first; on failure a PreconditionError carrying the
+    offending report is raised.  After the construction the associativity
+    and normalization of the product are re-verified and the results
+    recorded in the returned report.
     """
-    pre = Report()
-    pre.add(check_wmeas(q))
-    pre.add(check_twisted(q))
-    pre.add(check_cocycle(q))
-    if require_normalized:
-        pre.add(check_sigma_normalized(q))
-    if not pre.ok:
-        raise PreconditionError(
-            "quadruple fails: " + ", ".join(pre.failed_labels()), pre
-        )
+    rep = require(q.conditions(), "quadruple fails")
 
-    obj, inj, proj, nab = split_nabla(q)
-    mu_big = product_mu(q)
+    s = split_idempotent(q.nabla.mat)
+    av = q.a @ q.v
+    vname = ".".join(n for n, _ in q.v.factors) or "K"
+    obj = vobj(f"({q.monoid.name}x{vname})", s.rank)
+    inj = FMor(obj, av, s.inj)
+    proj = FMor(av, obj, s.proj)
+    nab, mu_big = q.nabla, q.product
     mul = compose(proj, mu_big, tensor(inj, inj))
 
-    ida, idv = q.ids()
-    av = q.a @ q.v
     id_av = identity(av, q.field)
-    rep = Report()
-    rep.extend(pre)
     rep.add(check_equal(
         "assoc-big",
         compose(mu_big, tensor(mu_big, id_av)),
@@ -322,13 +314,5 @@ def build_crossed_product(q: Quadruple, require_normalized: bool = True) -> Cros
         compose(mul, tensor(mul, idx)),
         compose(mul, tensor(idx, mul)),
     ))
-    if not rep.ok:
-        raise PreconditionError(
-            "construction postconditions failed: "
-            + ", ".join(rep.failed_labels()),
-            rep,
-        )
-    return CrossedProduct(
-        quad=q, nabla=nab, obj=obj, inj=inj, proj=proj,
-        mu_big=mu_big, mul=mul, report=rep,
-    )
+    require(rep, "construction postconditions failed")
+    return CrossedProduct(quad=q, obj=obj, inj=inj, proj=proj, mul=mul, report=rep)

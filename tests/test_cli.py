@@ -117,8 +117,15 @@ def test_mine_wdl_random_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_mine_wdl_bad_dims(capsys):
-    assert main(["mine-wdl", "--dims", "two,2", "--exhaustive"]) == 2
+@pytest.mark.parametrize("flags,pointer", [
+    (["--dims", "two,2"], "--dims"),
+    (["--dims", "0,2"], "--dims"),
+    (["--field", "4"], "--field"),
+    (["--field", "1"], "--field"),
+], ids=["dims-two", "dims-zero", "field-4", "field-1"])
+def test_mine_wdl_bad_dims(flags, pointer, capsys):
+    assert main(["mine-wdl", "--exhaustive"] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
 
 
 def test_iterated_preunit_skips_without_preunits(capsys, tmp_path):

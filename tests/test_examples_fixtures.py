@@ -39,7 +39,7 @@ from weakcp.mine import (
     mine_wdl_random,
     mined_law,
 )
-from weakcp.wcp import check_quadruple, nabla
+from weakcp.wcp import check_quadruple
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_strict_law_gives_quadruple_with_identity_nabla():
     t = quantum_plane_triple()
     q = quadruple_from_dl(t.a, t.b, t.l1)
     assert check_quadruple(q).ok
-    assert mat_eq(nabla(q).mat, identity_mat(q.a.dim * q.v.dim, GF(5)))
+    assert mat_eq(q.nabla.mat, identity_mat(q.a.dim * q.v.dim, GF(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_skew_group_is_unital():
     q, eta_v = skew_group_quadruple()
     rep = check_brzezinski(q, eta_v)
     assert rep.ok, rep.render()
-    assert mat_eq(nabla(q).mat, identity_mat(4, GF(3)))
+    assert mat_eq(q.nabla.mat, identity_mat(4, GF(3)))
 
 
 def test_skew_group_double_pair_conditions():

@@ -1,7 +1,11 @@
 """The monoid isomorphism between the two ways of iterating."""
 
+import collections
+import dataclasses
+
 import pytest
 
+from weakcp import fdvect, iso, iterate, preunit, wcp
 from weakcp.fdvect import check_monoid, compose, identity, mor_eq
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
@@ -13,14 +17,7 @@ from weakcp.fixtures import (
     wdl_triple_from_law,
 )
 from weakcp.fdvect import tensor
-from weakcp.iso import (
-    IsoBundle,
-    build_embeddings,
-    build_iso,
-    build_omega,
-    check_newit,
-    verify_monoid_iso,
-)
+from weakcp.iso import build_iso, check_newit
 from weakcp.kernel import rank
 from weakcp.mine import mined_law
 
@@ -51,15 +48,37 @@ def test_check_newit(double):
 
 
 def test_staged_pipeline(double):
+    # one check per label, in stage order, on a bundle that stays as built
     _, s, nu_v, nu_w = double
-    bundle = build_embeddings(s, nu_v, nu_w)
-    assert isinstance(bundle, IsoBundle)
-    assert bundle.omega is None  # not yet built
-    omega, omega_inv = build_omega(bundle)
-    assert bundle.omega is omega and bundle.omega_inv is omega_inv
-    rep = verify_monoid_iso(bundle)
-    assert rep.ok, rep.render()
-    assert bundle.outer is not None
+    b = build_iso(s, nu_v, nu_w)
+    assert b.report.ok, b.report.render()
+    assert [i.label for i in b.report.items] == [
+        "new-it-1", "new-it-2", "new-it-3", "i-axv-mult", "i-axv-unit",
+        "nabla-axvw-idem", "nabla-axvw-linear",
+        "omega-right-inv", "omega-left-inv", "omega-compat",
+        "outer-assoc", "outer-unit-left", "outer-unit-right",
+        "omega-mult", "omega-unit", "rank-match",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.report = None
+
+
+def test_iso_verifies_each_identity_once(monkeypatch):
+    labels = collections.Counter()
+    original = fdvect.check_equal
+
+    def spy(label, *args, **kwargs):
+        labels[label] += 1
+        return original(label, *args, **kwargs)
+
+    for module in (fdvect, wcp, preunit, iterate, iso):
+        monkeypatch.setattr(module, "check_equal", spy)
+    fix = flip_fixture(GF(3), "flip")
+    build_iso(fix.setup, fix.nu_v, fix.nu_w)
+    # once per quadruple: A x V, A x W and A x (V (x) W)
+    for label in ("wmeas-wcp", "twis-wcp", "cocy2-wcp", "assoc"):
+        assert labels[label] == 3, (label, labels[label])
+    assert labels["product-assoc"] == 0
 
 
 def test_omega_mutual_inverses(double):
@@ -69,7 +88,7 @@ def test_omega_mutual_inverses(double):
     assert mor_eq(compose(b.omega, b.omega_inv),
                   identity(b.ucp_vw.cp.obj, field))
     assert mor_eq(compose(b.omega_inv, b.omega),
-                  identity(b.outer_obj, field))
+                  identity(b.outer.obj, field))
 
 
 def test_omega_is_monoid_iso(double):
@@ -86,8 +105,8 @@ def test_omega_is_monoid_iso(double):
 def test_ranks_agree(double):
     _, s, nu_v, nu_w = double
     b = build_iso(s, nu_v, nu_w)
-    assert b.outer_obj.dim == b.ucp_vw.cp.obj.dim
-    assert rank(b.nabla_axv_w.mat) == rank(b.ucp_vw.cp.nabla.mat)
+    assert b.outer.dim == b.ucp_vw.cp.obj.dim
+    assert rank(b.nabla_axv_w.mat) == rank(b.ucp_vw.cp.quad.nabla.mat)
     assert b.report["rank-match"].passed is True
 
 
@@ -97,4 +116,4 @@ def test_mined_outer_is_strictly_smaller():
     s = triple_setup(t)
     b = build_iso(s, wdl_preunit(t.a, t.b, t.l1), wdl_preunit(t.a, t.c, t.l3))
     big = s.qv.a.dim * s.qv.v.dim * s.qw.v.dim
-    assert b.outer_obj.dim < big
+    assert b.outer.dim < big

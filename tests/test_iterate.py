@@ -22,13 +22,11 @@ from weakcp.iterate import (
     check_sigma_conditions,
     check_twisting,
     iterated_preunit,
-    nabla_iter,
-    quadruple_vw,
 )
 from weakcp.kernel import mat_eq, rank
 from weakcp.mine import mined_law
 from weakcp.preunit import check_pre_system
-from weakcp.wcp import PreconditionError, check_quadruple, nabla, product_mu
+from weakcp.wcp import PreconditionError, check_quadruple
 
 
 def all_doubles():
@@ -72,12 +70,12 @@ def test_build_iterated(double):
     qvw, rep = build_iterated(s)
     assert rep.ok, rep.render()
     assert check_quadruple(qvw).ok
-    assert mor_eq(nabla(qvw), nabla_iter(s))
+    assert qvw is s.qvw
 
 
 def test_iterated_preunit(double):
     _, s, nu_v, nu_w = double
-    qvw = quadruple_vw(s)
+    qvw = s.qvw
     hyp = check_iterated_preunit_hypotheses(s, nu_v, nu_w)
     assert hyp.ok, hyp.render()
     nu_vw, rep = iterated_preunit(s, nu_v, nu_w)
@@ -89,8 +87,7 @@ def test_mined_idempotent_is_weak():
     a, lam = mined_law()
     t = wdl_triple_from_law(a, lam)
     s = triple_setup(t)
-    qvw = quadruple_vw(s)
-    nab = nabla(qvw)
+    nab = s.qvw.nabla
     assert rank(nab.mat) < nab.dom.dim
 
 
@@ -101,7 +98,7 @@ def test_collapse_second_factor_trivial(double):
     ext = trivial_extension(q)
     qvw, rep = build_iterated(ext)
     assert rep.ok
-    assert mat_eq(product_mu(qvw).mat, product_mu(q).mat)
+    assert mat_eq(qvw.product.mat, q.product.mat)
 
 
 def test_collapse_both_factors_trivial():
@@ -112,7 +109,7 @@ def test_collapse_both_factors_trivial():
     ext = trivial_extension(qt, "K2")
     qkk, rep = build_iterated(ext)
     assert rep.ok
-    assert mat_eq(product_mu(qkk).mat, a.mul.mat)
+    assert mat_eq(qkk.product.mat, a.mul.mat)
 
 
 def test_setup_validation():

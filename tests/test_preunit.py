@@ -19,7 +19,7 @@ from weakcp.preunit import (
     derive_psi_sigma,
     nabla_nu,
 )
-from weakcp.wcp import PreconditionError, nabla, product_mu
+from weakcp.wcp import PreconditionError, build_crossed_product
 
 
 def unital_fixtures():
@@ -41,18 +41,18 @@ def test_pre_system(preunital):
 
 def test_preunit_axioms_for_product(preunital):
     _, q, nu = preunital
-    item = check_preunit_axioms(product_mu(q), nu)
+    item = check_preunit_axioms(q.product, nu)
     assert item.passed is True
 
 
 def test_nu_idempotent_equals_nabla(preunital):
     _, q, nu = preunital
-    assert mor_eq(nabla_nu(product_mu(q), nu), nabla(q))
+    assert mor_eq(nabla_nu(q.product, nu), q.nabla)
 
 
 def test_build_unital_monoid(preunital):
     _, q, nu = preunital
-    ucp = build_unital(q, nu)
+    ucp = build_unital(build_crossed_product(q), nu)
     assert ucp.report.ok, ucp.report.render()
     assert check_monoid(ucp.monoid).ok
     # the unit is the projected preunit
@@ -62,16 +62,16 @@ def test_build_unital_monoid(preunital):
 def test_beta_is_multiplicative(preunital):
     _, q, nu = preunital
     beta = beta_nu(q, nu)
-    mu_big = product_mu(q)
+    mu_big = q.product
     assert mor_eq(compose(mu_big, tensor(beta, beta)),
                   compose(beta, q.monoid.mul))
 
 
 def test_round_trip_recovery(preunital):
     _, q, nu = preunital
-    q2, rep = derive_psi_sigma(q.monoid, q.v, product_mu(q), nu)
+    q2, rep = derive_psi_sigma(q.monoid, q.v, q.product, nu)
     assert rep.ok, rep.render()
-    assert mor_eq(product_mu(q2), product_mu(q))
+    assert mor_eq(q2.product, q.product)
 
 
 def test_trivial_quadruple_unit():
@@ -79,7 +79,7 @@ def test_trivial_quadruple_unit():
 
     a = diagonal_algebra("A", 3, QQ)
     qt = trivial_quadruple(a)
-    ucp = build_unital(qt, trivial_preunit(qt))
+    ucp = build_unital(build_crossed_product(qt), trivial_preunit(qt))
     # the crossed product of A with a point is A itself
     assert ucp.monoid.dim == a.dim
     assert mor_eq(ucp.monoid.mul, type(ucp.monoid.mul)(
@@ -94,13 +94,13 @@ def test_build_unital_rejects_bad_preunit():
     entries[0] = (entries[0] + 1) % 3
     bad = type(nu)(UNIT, nu.cod, Mat(nu.mat.rows, 1, tuple(entries), GF(3)))
     with pytest.raises(PreconditionError):
-        build_unital(q, bad)
+        build_unital(build_crossed_product(q), bad)
 
 
 def test_derive_rejects_nonassociative_product():
     fix = flip_fixture(QQ, "flip")
     q, nu = fix.setup.qv, fix.nu_v
-    mu = product_mu(q)
+    mu = q.product
     entries = list(mu.mat.entries)
     entries[0] = entries[0] + 1
     bad = type(mu)(mu.dom, mu.cod,

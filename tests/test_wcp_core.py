@@ -12,10 +12,7 @@ from weakcp.wcp import (
     build_crossed_product,
     check_derived_identities,
     check_quadruple,
-    check_sigma_normalized,
-    nabla,
     normalize_sigma,
-    product_mu,
 )
 
 
@@ -37,7 +34,7 @@ def test_quadruple_axioms(quad):
 
 
 def test_nabla_idempotent(quad):
-    nab = nabla(quad)
+    nab = quad.nabla
     assert mor_eq(compose(nab, nab), nab)
 
 
@@ -49,14 +46,14 @@ def test_derived_identities(quad):
 
 def test_normalize_sigma_is_stable(quad):
     q2 = normalize_sigma(quad)
-    assert check_sigma_normalized(q2).passed
+    assert q2.normalized.passed
     assert mor_eq(normalize_sigma(q2).sigma, q2.sigma)
 
 
 def test_build_crossed_product(quad):
     cp = build_crossed_product(quad)
     assert cp.report.ok, cp.report.render()
-    assert cp.rank == rank(nabla(quad).mat)
+    assert cp.rank == rank(quad.nabla.mat)
     # mul is associative on the image
     obj_id = identity(cp.obj, quad.field)
     assert mor_eq(
@@ -68,8 +65,8 @@ def test_build_crossed_product(quad):
 
 
 def test_product_mu_normalized(quad):
-    mu = product_mu(quad)
-    nab = nabla(quad)
+    mu = quad.product
+    nab = quad.nabla
     ida = identity(quad.a, quad.field)
     idv = identity(quad.v, quad.field)
     av = tensor(ida, idv)
