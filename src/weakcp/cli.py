@@ -41,7 +41,7 @@ from .jsonio import (
     workspace_morphism,
 )
 from .kernel import NotIdempotentError, split_idempotent
-from .mine import mine_wdl, mine_wdl_random
+from .mine import SearchTooLarge, mine_wdl, mine_wdl_random
 from .preunit import check_pre_system
 from .report import Report, ReportItem, sort_by_registry
 from .wcp import (
@@ -265,7 +265,12 @@ def _cmd_mine_wdl(args):
     a = diagonal_algebra("S", s, field)
     b = diagonal_algebra("T", t, field)
     if args.exhaustive:
-        result = mine_wdl(a, b, limit=args.budget)
+        try:
+            result = mine_wdl(a, b, limit=args.budget)
+        except SearchTooLarge as exc:
+            raise WorkspaceError(
+                f"exhaustive search at dims ({s},{t}): {exc}; give --budget N "
+                "to inspect the first N codes", "--dims")
     else:
         result = mine_wdl_random(a, b, seed=args.seed, tries=args.budget)
     laws = [

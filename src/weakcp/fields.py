@@ -15,14 +15,37 @@ class FieldMismatchError(ValueError):
     """Operands from two different fields were mixed in one computation."""
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for n >= MR_BOUND, where the
+    bases no longer prove primality."""
+    if n >= MR_BOUND:
+        raise ValueError(
+            f"{n} is too large: primality is only decided below {MR_BOUND}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -160,7 +183,10 @@ def field_from_descriptor(d: dict):
     if d["type"] == "Q":
         return QQ
     if d["type"] == "Fp":
-        return GF(int(d["p"]))
+        p = d.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"field 'p' must be an integer, got {p!r}")
+        return GF(p)
     raise ValueError(f"unknown field type {d['type']!r}")
 
 

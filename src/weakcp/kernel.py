@@ -1,9 +1,9 @@
 """Dense exact matrix calculus.
 
-Composition, Kronecker tensor product, exact equality, right-solving and
-constructive idempotent splitting, all over one of the exact fields from
-:mod:`weakcp.fields`.  Matrices are immutable; every operation returns a new
-matrix, so values may be shared freely between threads.
+Composition, Kronecker tensor product, exact equality, right-solving, null
+spaces and constructive idempotent splitting, all over one of the exact
+fields from :mod:`weakcp.fields`.  Matrices are immutable; every operation
+returns a new matrix, so values may be shared freely between threads.
 
 Conventions (fixed for the whole engine):
 
@@ -211,6 +211,35 @@ def rank(m: Mat) -> int:
     return len(_column_basis(m)[0])
 
 
+def _eliminate(rows, ncols, field):
+    """Gauss-Jordan elimination, in place, on the first ncols columns.
+
+    ``rows`` is a list of row lists, possibly longer than ncols (an
+    augmented system); row operations act on the whole row.  Each pivot is
+    the first nonzero entry of its column at or below the next pivot row,
+    and is cleared from every other row but not scaled to one.  Returns the
+    pivots as (row, col) pairs; they occupy rows 0, 1, ... in order.
+    """
+    pivots = []
+    for col in range(ncols):
+        prow = len(pivots)
+        if prow == len(rows):
+            break
+        pr = next((r for r in range(prow, len(rows)) if rows[r][col]), None)
+        if pr is None:
+            continue
+        rows[prow], rows[pr] = rows[pr], rows[prow]
+        pivot_row = rows[prow]
+        piv = pivot_row[col]
+        for r, row in enumerate(rows):
+            if r != prow and row[col]:
+                factor = field.div(row[col], piv)
+                for c in range(col, len(row)):
+                    row[c] = field.sub(row[c], field.mul(factor, pivot_row[c]))
+        pivots.append((prow, col))
+    return pivots
+
+
 def solve_right(a: Mat, b: Mat) -> Mat:
     """X with a o X = b, solved column by column by Gaussian elimination.
 
@@ -224,45 +253,51 @@ def solve_right(a: Mat, b: Mat) -> Mat:
             f"solve_right: {a.rows}x{a.cols} and {b.rows}x{b.cols} have "
             "different numbers of rows"
         )
-    arows = [list(a.row(r)) for r in range(a.rows)]
-    brows = [list(b.row(r)) for r in range(b.rows)]
-    pivots = []  # (row, col)
-    prow = 0
-    for col in range(a.cols):
-        pr = next((r for r in range(prow, a.rows) if arows[r][col]), None)
-        if pr is None:
-            continue
-        arows[prow], arows[pr] = arows[pr], arows[prow]
-        brows[prow], brows[pr] = brows[pr], brows[prow]
-        piv = arows[prow][col]
-        for r in range(a.rows):
-            if r != prow and arows[r][col]:
-                factor = field.div(arows[r][col], piv)
-                for c in range(col, a.cols):
-                    arows[r][c] = field.sub(arows[r][c], field.mul(factor, arows[prow][c]))
-                for c in range(b.cols):
-                    brows[r][c] = field.sub(brows[r][c], field.mul(factor, brows[prow][c]))
-        pivots.append((prow, col))
-        prow += 1
-        if prow == a.rows:
-            break
-    pivot_rows = {r for r, _ in pivots}
-    for r in range(a.rows):
-        if r not in pivot_rows:
-            for c in range(b.cols):
-                if brows[r][c]:
-                    raise InconsistentSystemError(
-                        f"column {c} of the right-hand side is outside the "
-                        "column space", c
-                    )
-    zero = field.zero()
-    x = [[zero] * b.cols for _ in range(a.cols)]
-    for r, col in pivots:
-        piv = arows[r][col]
+    n = a.cols
+    rows = [list(a.row(r)) + list(b.row(r)) for r in range(a.rows)]
+    pivots = _eliminate(rows, n, field)
+    for r in range(len(pivots), a.rows):
         for c in range(b.cols):
-            x[col][c] = field.div(brows[r][c], piv)
+            if rows[r][n + c]:
+                raise InconsistentSystemError(
+                    f"column {c} of the right-hand side is outside the "
+                    "column space", c
+                )
+    zero = field.zero()
+    x = [[zero] * b.cols for _ in range(n)]
+    for r, col in pivots:
+        piv = rows[r][col]
+        for c in range(b.cols):
+            x[col][c] = field.div(rows[r][n + c], piv)
     # build directly (not via from_rows) so a 0 x n result keeps its shape
-    return Mat(a.cols, b.cols, tuple(v for row in x for v in row), field)
+    return Mat(n, b.cols, tuple(v for row in x for v in row), field)
+
+
+def nullspace(m: Mat) -> Mat:
+    """A basis of {v : m v = 0}, as the columns of a cols x nullity matrix.
+
+    There is one basis vector per non-pivot column f of the reduced
+    echelon form: it is 1 at f, 0 at every other non-pivot column, and
+    its pivot coordinates are what m v = 0 forces.  So the basis is
+    deterministic, and rank(m) + nullity = m.cols.
+    """
+    field = m.field
+    rows = [list(m.row(r)) for r in range(m.rows)]
+    pivots = _eliminate(rows, m.cols, field)
+    pivot_cols = {c for _, c in pivots}
+    zero, one = field.zero(), field.one()
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
+        v = [zero] * m.cols
+        v[f] = one
+        for r, c in pivots:
+            if rows[r][f]:
+                v[c] = field.neg(field.div(rows[r][f], rows[r][c]))
+        basis.append(v)
+    return Mat(m.cols, len(basis),
+               tuple(v[i] for i in range(m.cols) for v in basis), field)
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,51 @@
 """Search for weak distributive laws over small prime fields.
 
-Over a prime field every candidate law B (x) A -> A (x) B is a matrix
-with finitely many possible entries, so for small dimensions the space
-can be enumerated exhaustively.  The miner filters candidates through the
-axioms (cheapest condition first) and classifies the survivors by the
-rank of the induced idempotent; a law whose idempotent is neither zero
-nor the identity yields a genuinely weak crossed product.
+Over a prime field every candidate law lam : B (x) A -> A (x) B is a
+matrix with finitely many possible entries.  Entry k (row-major) of
+candidate ``code`` is ``(code // p**k) % p``, and every search inspects
+codes in a fixed order, so results are reproducible; the counts of the
+reference search are frozen below as regression values.
 
-The enumeration order is fixed (entry k of candidate ``code`` is
-``(code // p**k) % p``, row-major), so results are reproducible, and the
-counts for the reference search are frozen below as regression values.
+The first axiom, the exchange law
+``(A (x) mu_B)(lam(eta_B (x) A) (x) B) = (mu_A (x) B)(A (x) lam(B (x) eta_A))``,
+is linear in lam.  The miner evaluates both of its sides once on each
+elementary candidate (one entry 1, the rest 0).  That gives a constraint
+matrix C with C vec(lam) = 0 exactly when lam satisfies the law, built
+once per search:
+
+* the exhaustive search (``mine_wdl`` without a limit) walks only the
+  p**nullity(C) solutions, in ascending code order.  It refuses with
+  SearchTooLarge when they number more than EXHAUSTIVE_CAP = 65,536, the
+  size of the whole GF(2) (2,2) space;
+* a search bounded by ``limit`` and the random search walk the same codes
+  as a brute-force search would (``range(limit)``; seeded ``randrange``
+  without repeats) and drop each code that fails C before any matrix is
+  built.
+
+Every code that passes C still goes through ``law_from_code`` and the full
+axiom check, exchange law included.  The laws are classified by the rank
+of the induced idempotent; a law whose idempotent is neither zero nor the
+identity yields a genuinely weak crossed product.  On the diagonal
+algebras the nullity is 8 at dims (2,2) (256 solutions of 2**16 over GF(2),
+6,561 of 3**16 over GF(3)), 18 at (2,3) and 45 at (3,3).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .fdvect import FMor, MonoidData, compose, identity, tensor
 from .fields import GF, PrimeField
 from .fixtures import check_yang_baxter, diagonal_algebra, wdl_nabla
-from .kernel import Mat, identity_mat, mat_eq, rank
+from .kernel import Mat, identity_mat, mat_eq, nullspace, rank
+
+EXHAUSTIVE_CAP = 65536  # most exchange-law solutions an exhaustive search walks
+
+
+class SearchTooLarge(ValueError):
+    """An exhaustive search over more solutions than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +69,9 @@ class MineResult:
 
 
 def _wdl_predicate(a: MonoidData, b: MonoidData):
-    """A closure testing the weak-distributive-law axioms on one matrix.
+    """(exchange, accept): the two sides of the exchange law as a function
+    of a candidate, and a closure testing all the weak-distributive-law
+    axioms on one candidate.
 
     Conditions are ordered so that the cheapest comparisons run first;
     most candidates die on the exchange law before the quadratic axioms
@@ -54,10 +81,13 @@ def _wdl_predicate(a: MonoidData, b: MonoidData):
     mu_ab = tensor(a.mul, idb)
     amu_b = tensor(ida, b.mul)
 
-    def accept(lam: FMor) -> bool:
+    def exchange(lam: FMor):
         left = compose(amu_b, tensor(compose(lam, tensor(b.unit, ida)), idb))
         right = compose(mu_ab, tensor(ida, compose(lam, tensor(idb, a.unit))))
-        if not mat_eq(left.mat, right.mat):
+        return left.mat, right.mat
+
+    def accept(lam: FMor) -> bool:
+        if not mat_eq(*exchange(lam)):
             return False
         if not mat_eq(
             compose(lam, tensor(idb, a.mul)).mat,
@@ -69,7 +99,7 @@ def _wdl_predicate(a: MonoidData, b: MonoidData):
             compose(amu_b, tensor(lam, idb), tensor(idb, lam)).mat,
         )
 
-    return accept
+    return exchange, accept
 
 
 def _law_space(a: MonoidData, b: MonoidData):
@@ -79,6 +109,77 @@ def _law_space(a: MonoidData, b: MonoidData):
     if not isinstance(f, PrimeField):
         raise ValueError("mining enumerates matrices over a prime field")
     return f, b.obj @ a.obj, a.obj @ b.obj
+
+
+@dataclass(frozen=True)
+class _ExchangeLaw:
+    """The exchange law of a pair as linear conditions on candidate codes."""
+
+    p: int
+    entries: int  # entries of a candidate
+    c: Mat  # the constraint matrix
+    rows: tuple  # distinct nonzero rows of C, each as ((k, C[r, k]), ...)
+
+    @functools.cached_property
+    def basis(self) -> Mat:
+        """A basis of the solutions (only the exhaustive search needs it)."""
+        return nullspace(self.c)
+
+    @property
+    def space(self) -> int:
+        """Number of candidates."""
+        return self.p ** self.entries
+
+    def holds(self, code: int) -> bool:
+        """Whether candidate ``code`` satisfies the law (C vec = 0)."""
+        p = self.p
+        digits = []
+        for _ in range(self.entries):
+            code, d = divmod(code, p)
+            digits.append(d)
+        return all(sum(c * digits[k] for k, c in row) % p == 0
+                   for row in self.rows)
+
+    def codes(self):
+        """The codes of all solutions, ascending; SearchTooLarge if they
+        number more than EXHAUSTIVE_CAP."""
+        p, nullity = self.p, self.basis.cols
+        if p ** nullity > EXHAUSTIVE_CAP:
+            raise SearchTooLarge(
+                f"{p}^{nullity} = {p ** nullity} candidates satisfy the "
+                f"exchange law, more than the cap of {EXHAUSTIVE_CAP}"
+            )
+        vectors = [(0,) * self.entries]
+        for j in range(nullity):
+            gen = self.basis.column(j)
+            vectors = [tuple((x + c * g) % p for x, g in zip(v, gen))
+                       for v in vectors for c in range(p)]
+        codes = []
+        for v in vectors:
+            code = 0
+            for d in reversed(v):
+                code = code * p + d
+            codes.append(code)
+        return sorted(codes)
+
+
+def _exchange_law(f: PrimeField, ba, ab, exchange) -> _ExchangeLaw:
+    """Solve the exchange law once: column k of C is left - right, the
+    defect of ``exchange`` on the candidate whose only nonzero entry is a
+    1 at entry k.  Both sides are linear in the candidate, so the defect of
+    any candidate is C times its entries."""
+    n = ba.dim * ab.dim
+    columns = []
+    for k in range(n):
+        unit = Mat(ab.dim, ba.dim, tuple(int(i == k) for i in range(n)), f)
+        left, right = exchange(FMor(ba, ab, unit))
+        columns.append([(x - y) % f.p for x, y in zip(left.entries, right.entries)])
+    height = len(columns[0])
+    c = Mat(height, n, tuple(col[r] for r in range(height) for col in columns), f)
+    rows = {tuple((k, x) for k, x in enumerate(c.row(r)) if x)
+            for r in range(height)}
+    rows.discard(())
+    return _ExchangeLaw(f.p, n, c, tuple(sorted(rows)))
 
 
 def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
@@ -95,14 +196,15 @@ def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
 def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:
     """Keep and classify the laws among the inspected candidates.
 
-    ``codes`` maps the size of the candidate space to the codes of the
-    candidates to inspect, in order.
+    ``codes`` maps the pair's exchange law to the codes of the candidates
+    to inspect, in order; each must satisfy the exchange law, and the
+    full axiom check re-verifies it.
     """
     f, ba, ab = _law_space(a, b)
-    accept = _wdl_predicate(a, b)
+    exchange, accept = _wdl_predicate(a, b)
     idmat = identity_mat(ab.dim, f)
     result = MineResult()
-    for code in codes(f.p ** (ba.dim * ab.dim)):
+    for code in codes(_exchange_law(f, ba, ab, exchange)):
         lam = law_from_code(a, b, code)
         if not accept(lam):
             continue
@@ -126,26 +228,32 @@ def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:
 
 
 def mine_wdl(a: MonoidData, b: MonoidData, limit: int | None = None) -> MineResult:
-    """Exhaustively enumerate all candidate laws and keep the valid ones.
+    """All laws among the first ``limit`` codes, or among all codes.
 
-    ``limit`` caps the number of candidates inspected (for tests); the
-    full space has p**(dim(A)*dim(B))**2 elements, so this is only
-    feasible for very small dimensions.
+    Without a limit the search walks the solutions of the exchange law and
+    raises SearchTooLarge if there are more than EXHAUSTIVE_CAP of them.
+    With a limit it walks ``range(limit)`` and skips the codes that fail
+    the exchange law; the full space has p**(dim(A)*dim(B))**2 codes.
     """
-    return _mine(a, b, lambda space: range(
-        space if limit is None else min(space, limit)))
+    def codes(law):
+        if limit is None:
+            return law.codes()
+        return filter(law.holds, range(min(law.space, limit)))
+
+    return _mine(a, b, codes)
 
 
 def mine_wdl_random(a: MonoidData, b: MonoidData, seed: int, tries: int) -> MineResult:
     """Seeded random search for laws in spaces too large to enumerate."""
-    def codes(space):
+    def codes(law):
         rng = random.Random(seed)
         seen = set()
         for _ in range(tries):
-            code = rng.randrange(space)
+            code = rng.randrange(law.space)
             if code not in seen:
                 seen.add(code)
-                yield code
+                if law.holds(code):
+                    yield code
 
     return _mine(a, b, codes)
 

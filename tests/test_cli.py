@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -126,6 +127,30 @@ def test_mine_wdl_random_deterministic(capsys):
 def test_mine_wdl_bad_dims(flags, pointer, capsys):
     assert main(["mine-wdl", "--exhaustive"] + flags) == 2
     assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+
+def test_mine_wdl_exhaustive_cap(capsys):
+    t0 = time.perf_counter()
+    assert main(["mine-wdl", "--dims", "3,3", "--exhaustive"]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err.startswith("error: --dims: ")
+    assert main(["mine-wdl", "--dims", "3,3", "--exhaustive",
+                 "--budget", "10"]) == 0
+
+
+def test_mine_wdl_field_beyond_proven_bound(capsys):
+    assert main(["mine-wdl", "--field", str(10**25), "--exhaustive"]) == 2
+    assert capsys.readouterr().err.startswith("error: --field: ")
+
+
+def test_workspace_string_prime_exits_2(capsys, tmp_path):
+    with open(fx("flip_triple.json")) as fh:
+        obj = json.load(fh)
+    obj["field"]["p"] = str(obj["field"]["p"])
+    path = tmp_path / "string_p.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check-quadruple", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: /field: ")
 
 
 def test_iterated_preunit_skips_without_preunits(capsys, tmp_path):

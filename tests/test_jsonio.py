@@ -121,6 +121,15 @@ def test_missing_field_key():
         decode_workspace({"monoids": []})
 
 
+@pytest.mark.parametrize("p", ["7", 4, 10**25])
+def test_bad_prime_pointer(p):
+    obj = full_workspace()
+    obj["field"]["p"] = p
+    with pytest.raises(WorkspaceError) as exc:
+        decode_workspace(obj)
+    assert exc.value.pointer == "/field"
+
+
 def test_wrong_sigma_shape_pointer():
     obj = full_workspace()
     obj["quadruples"][0]["sigma"]["rows"] = 3

@@ -20,6 +20,7 @@ from weakcp.kernel import (
     mat_compose,
     mat_eq,
     mat_tensor,
+    nullspace,
     rank,
     solve_right,
     split_idempotent,
@@ -127,6 +128,30 @@ def test_solve_right_free_variables_zero():
     b = from_rows([[5]], QQ)
     x = solve_right(a, b)
     assert x.entries == (QQ.coerce(5), QQ.zero())
+
+
+def test_nullspace_example():
+    n = nullspace(from_rows([[1, 2, 0], [2, 4, 0]], QQ))
+    assert n == from_rows([[-2, 0], [1, 0], [0, 1]], QQ)
+    assert nullspace(identity_mat(3, GF(5))).cols == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nullspace_basis(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, min(rows, cols)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    # a product through k dimensions, so the rank is often deficient
+    m = mat_compose(random_mat(rng, rows, k, field),
+                    random_mat(rng, k, cols, field))
+    n = nullspace(m)
+    assert n.rows == cols
+    assert mat_eq(mat_compose(m, n), zero_mat(rows, n.cols, field))
+    assert rank(n) == n.cols
+    assert rank(m) + n.cols == cols
 
 
 def test_split_examples():

@@ -1,0 +1,121 @@
+"""The linear-first miner against the brute-force reference path."""
+
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weakcp import mine
+from weakcp.fields import GF
+from weakcp.fixtures import diagonal_algebra
+from weakcp.kernel import mat_eq
+from weakcp.mine import (
+    SearchTooLarge,
+    _exchange_law,
+    _law_space,
+    _mine,
+    _wdl_predicate,
+    law_from_code,
+    mine_wdl,
+)
+
+# Exhaustive search over GF(3) with both monoids the two-dimensional
+# diagonal algebra: 3^8 = 6,561 of the 3^16 candidates satisfy the
+# exchange law.  Confirmed independently: evaluating the exchange law
+# with numpy on all 3^16 candidates gives the same 6,561 codes, and the
+# brute-force classifier gives the same laws on them.
+GF3_TOTAL = 27
+GF3_WEAK = 19
+GF3_NONDEGENERATE = 18
+GF3_FIRST_CODES = [0, 1, 729, 730, 19683]
+
+
+def pair(p, s, t):
+    return diagonal_algebra("S", s, GF(p)), diagonal_algebra("T", t, GF(p))
+
+
+def summary(result):
+    return [(law.code, law.nabla_rank, law.self_yang_baxter)
+            for law in result.laws]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linear_test_matches_composites(data):
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    s = data.draw(st.sampled_from([1, 2]), label="s")
+    t = data.draw(st.sampled_from([1, 2, 3]), label="t")
+    a, b = pair(p, s, t)
+    exchange, _ = _wdl_predicate(a, b)
+    law = _exchange_law(*_law_space(a, b), exchange)
+    n = law.entries
+    mode = data.draw(st.sampled_from(["uniform", "solution", "perturbed"]))
+    if mode == "uniform":
+        digits = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=n, max_size=n))
+    else:
+        coeffs = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=law.basis.cols,
+                                    max_size=law.basis.cols))
+        digits = [sum(c * law.basis[i, j] for j, c in enumerate(coeffs)) % p
+                  for i in range(n)]
+        if mode == "perturbed":
+            k = data.draw(st.integers(0, n - 1))
+            digits[k] = (digits[k] + data.draw(st.integers(1, p - 1))) % p
+    code = sum(d * p ** k for k, d in enumerate(digits))
+    composites_agree = mat_eq(*exchange(law_from_code(a, b, code)))
+    assert law.holds(code) == composites_agree
+    if mode == "solution":
+        assert composites_agree
+
+
+@pytest.mark.parametrize("p,s,t,nullity", [
+    (2, 2, 2, 8), (3, 2, 2, 8), (2, 2, 3, 18), (2, 3, 3, 45),
+])
+def test_exchange_law_nullity(p, s, t, nullity):
+    a, b = pair(p, s, t)
+    law = _exchange_law(*_law_space(a, b), _wdl_predicate(a, b)[0])
+    assert law.basis.cols == nullity
+
+
+@pytest.fixture(scope="module")
+def gf3_exhaustive():
+    return mine_wdl(*pair(3, 2, 2))
+
+
+def test_gf3_exhaustive_regression(gf3_exhaustive):
+    r = gf3_exhaustive
+    assert (r.total, r.weak, r.nondegenerate) == \
+        (GF3_TOTAL, GF3_WEAK, GF3_NONDEGENERATE)
+    codes = [law.code for law in r.laws]
+    assert codes[:5] == GF3_FIRST_CODES
+    assert codes == sorted(codes)
+
+
+def test_null_space_path_matches_brute_force(gf3_exhaustive):
+    """On a prefix of the GF(3) (2,2) space, the null-space walk and the
+    linear-filtered range find exactly what the full predicate finds on
+    every code."""
+    a, b = pair(3, 2, 2)
+    limit = 20000
+    brute = _mine(a, b, lambda law: range(limit))
+    assert len(brute.laws) == 6
+    fast = [law for law in summary(gf3_exhaustive) if law[0] < limit]
+    assert summary(brute) == fast
+    assert summary(mine_wdl(a, b, limit=limit)) == summary(brute)
+
+
+def test_exhaustive_search_is_capped(monkeypatch):
+    a, b = pair(2, 3, 3)
+    t0 = time.perf_counter()
+    with pytest.raises(SearchTooLarge, match=r"2\^45"):
+        mine_wdl(a, b)
+    assert time.perf_counter() - t0 < 1
+    monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 255)
+    with pytest.raises(SearchTooLarge, match=r"2\^8 = 256"):
+        mine_wdl(*pair(2, 2, 2))
+    monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 256)
+    assert mine_wdl(*pair(2, 2, 2)).total == mine.REFERENCE_TOTAL
+    # a bounded search of the same space still runs
+    assert [law.code for law in mine_wdl(a, b, limit=100).laws] == [0, 1]
