@@ -262,6 +262,9 @@ def _cmd_mine_wdl(args):
         raise WorkspaceError("expected two integers like 2,2", "--dims")
     if s < 1 or t < 1:
         raise WorkspaceError("dimensions must be positive", "--dims")
+    if args.budget is not None and args.budget < 0:
+        raise WorkspaceError(
+            f"must be 0 or more candidates, got {args.budget}", "--budget")
     a = diagonal_algebra("S", s, field)
     b = diagonal_algebra("T", t, field)
     if args.exhaustive:

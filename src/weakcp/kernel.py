@@ -1,9 +1,15 @@
-"""Dense exact matrix calculus.
+"""Exact matrix calculus: dense storage, zero-skipping products.
 
 Composition, Kronecker tensor product, exact equality, right-solving, null
 spaces and constructive idempotent splitting, all over one of the exact
 fields from :mod:`weakcp.fields`.  Matrices are immutable; every operation
 returns a new matrix, so values may be shared freely between threads.
+
+Every matrix is stored densely, zeros included, so entries, equality and
+witness coordinates are plain tuple operations.  The operands the engine
+multiplies (identities, flips, ``f (x) id`` blocks) are a few percent
+nonzero, so :func:`mat_compose` and :func:`mat_tensor` find the nonzeros
+of their operands on each call and multiply only those.
 
 Conventions (fixed for the whole engine):
 
@@ -20,6 +26,7 @@ not overflow, so prime-field arithmetic is exact for every prime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .fields import PrimeField, same_field
 
@@ -48,7 +55,11 @@ class InconsistentSystemError(ValueError):
 
 @dataclass(frozen=True)
 class Mat:
-    """Dense row-major matrix over an exact field."""
+    """Dense row-major matrix over an exact field.
+
+    ``entries`` holds all rows * cols entries, zeros included; the products
+    skip the zeros when they read it.
+    """
 
     rows: int
     cols: int
@@ -107,7 +118,12 @@ def zero_mat(rows, cols, field) -> Mat:
 
 
 def mat_compose(g: Mat, f: Mat) -> Mat:
-    """The composite g o f (matrix product g * f)."""
+    """The composite g o f (matrix product g * f).
+
+    Gustavson's row-by-row product over the nonzeros only: each nonzero
+    g[i, t] adds g[i, t] * f[t, j] into entry (i, j) for every nonzero
+    f[t, j].  Prime-field entries are reduced once each, at the end.
+    """
     field = same_field(g.field, f.field)
     if g.cols != f.rows:
         raise ShapeError(
@@ -116,51 +132,43 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
         )
     n, k, m = g.rows, g.cols, f.cols
     ge, fe = g.entries, f.entries
-    zero = field.zero()
-    out = []
+    # the nonzeros of row t of f as (column, entry) pairs, scanned only
+    # when a nonzero of g first needs them
+    frows = [None] * k
+    cols = range(m)
+    out = [field.zero()] * (n * m)
+    for idx in compress(range(n * k), ge):
+        i, t = divmod(idx, k)
+        frow = frows[t]
+        if frow is None:
+            row = fe[t * m : (t + 1) * m]
+            frow = frows[t] = [(j, row[j]) for j in compress(cols, row)]
+        gv, base = ge[idx], i * m
+        for j, fv in frow:
+            out[base + j] += gv * fv
     if isinstance(field, PrimeField):
         p = field.p
-        for i in range(n):
-            grow = ge[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = 0
-                for t in range(k):
-                    acc += grow[t] * fe[t * m + j]
-                out.append(acc % p)
-    else:
-        for i in range(n):
-            grow = ge[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = zero
-                for t in range(k):
-                    gv = grow[t]
-                    if gv:
-                        fv = fe[t * m + j]
-                        if fv:
-                            acc = acc + gv * fv
-                out.append(acc)
+        out = [x % p for x in out]
     return Mat(n, m, tuple(out), field)
 
 
 def mat_tensor(f: Mat, g: Mat) -> Mat:
-    """Kronecker product f (x) g."""
+    """Kronecker product f (x) g, over the nonzeros of f and g only."""
     field = same_field(f.field, g.field)
     rows, cols = f.rows * g.rows, f.cols * g.cols
-    modp = isinstance(field, PrimeField)
-    zero = field.zero()
-    out = [zero] * (rows * cols)
+    p = field.p if isinstance(field, PrimeField) else None
     fe, ge = f.entries, g.entries
-    for i1 in range(f.rows):
-        for j1 in range(f.cols):
-            a = fe[i1 * f.cols + j1]
-            if not a:
-                continue
-            for i2 in range(g.rows):
-                base = (i1 * g.rows + i2) * cols + j1 * g.cols
-                for j2 in range(g.cols):
-                    b = ge[i2 * g.cols + j2]
-                    if b:
-                        out[base + j2] = (a * b) % field.p if modp else a * b
+    # the nonzeros of g, with their offsets inside one block of the output
+    gnz = [
+        (idx // g.cols * cols + idx % g.cols, ge[idx])
+        for idx in compress(range(len(ge)), ge)
+    ]
+    out = [field.zero()] * (rows * cols)
+    for idx in compress(range(len(fe)), fe):
+        i1, j1 = divmod(idx, f.cols)
+        a, base = fe[idx], i1 * g.rows * cols + j1 * g.cols
+        for off, b in gnz:
+            out[base + off] = a * b if p is None else a * b % p
     return Mat(rows, cols, tuple(out), field)
 
 

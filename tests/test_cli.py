@@ -138,6 +138,18 @@ def test_mine_wdl_exhaustive_cap(capsys):
                  "--budget", "10"]) == 0
 
 
+@pytest.mark.parametrize("mode", [[], ["--exhaustive"]],
+                         ids=["random", "exhaustive"])
+def test_mine_wdl_negative_budget_exits_2(mode, capsys):
+    assert main(["mine-wdl", "--budget", "-1"] + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --budget: ")
+    # a budget of 0 inspects no candidate and is not an error
+    assert main(["mine-wdl", "--budget", "0"] + mode) == 0
+    assert "laws found: 0" in capsys.readouterr().out
+
+
 def test_mine_wdl_field_beyond_proven_bound(capsys):
     assert main(["mine-wdl", "--field", str(10**25), "--exhaustive"]) == 2
     assert capsys.readouterr().err.startswith("error: --field: ")

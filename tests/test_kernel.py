@@ -1,6 +1,7 @@
 """Exact matrix calculus: composition, tensor, solving, splitting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -242,3 +243,78 @@ def test_large_prime_matches_integer_arithmetic(data):
         for i1 in range(n) for i2 in range(k)
         for j1 in range(k) for j2 in range(m)
     )
+
+
+# Differential test of the zero-skipping products against the textbook
+# formulas, on the fields whose arithmetic differs: Q (Fraction entries),
+# GF(2), GF(5) and a prime whose products overflow 64 bits.
+DIFF_FIELDS = (QQ, GF(2), GF(5), GF(3037000507))
+
+
+def _pool(field, rng):
+    """A few values and their negatives, so that sums often cancel."""
+    if field is QQ:
+        base = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 7)]
+    else:
+        base = [1, 2, rng.randrange(1, field.p)]
+    return [field.coerce(x) for x in base] + [field.neg(field.coerce(x)) for x in base]
+
+
+def _sparse_mat(rng, rows, cols, field, density):
+    pool = _pool(field, rng)
+    return Mat(rows, cols, tuple(
+        rng.choice(pool) if rng.random() < density else field.zero()
+        for _ in range(rows * cols)), field)
+
+
+def _naive_compose(g, f):
+    field = g.field
+    out = []
+    for i in range(g.rows):
+        for j in range(f.cols):
+            acc = field.zero()
+            for t in range(g.cols):
+                acc = field.add(acc, field.mul(g[i, t], f[t, j]))
+            out.append(acc)
+    return tuple(out)
+
+
+def _naive_tensor(f, g):
+    field = f.field
+    return tuple(
+        field.mul(f[i1, j1], g[i2, j2])
+        for i1 in range(f.rows) for i2 in range(g.rows)
+        for j1 in range(f.cols) for j2 in range(g.cols)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_products_match_naive_reference(data):
+    field = data.draw(st.sampled_from(DIFF_FIELDS), label="field")
+    n, k, m = (data.draw(st.integers(0, 6), label=x) for x in "nkm")
+    density = data.draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0)),
+                        label="density")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    g = _sparse_mat(rng, n, k, field, density)
+    f = _sparse_mat(rng, k, m, field, density)
+    if k >= 2 and data.draw(st.booleans(), label="cancel"):
+        # column 1 of g is minus column 0 and row 1 of f equals row 0, so
+        # the t = 0 and t = 1 terms of every output entry cancel exactly
+        ge, fe = list(g.entries), list(f.entries)
+        for i in range(n):
+            ge[i * k + 1] = field.neg(ge[i * k])
+        fe[m : 2 * m] = fe[:m]
+        g, f = Mat(n, k, tuple(ge), field), Mat(k, m, tuple(fe), field)
+    product = mat_compose(g, f)
+    assert (product.rows, product.cols) == (n, m)
+    assert product.entries == _naive_compose(g, f)
+    kron = mat_tensor(g, f)
+    assert (kron.rows, kron.cols) == (n * k, k * m)
+    assert kron.entries == _naive_tensor(g, f)
+    for x in product.entries + kron.entries:
+        if field is QQ:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < field.p
+
