@@ -21,6 +21,7 @@ from .fields import same_field
 from .kernel import (
     Mat,
     ShapeError,
+    first_difference,
     from_rows,
     identity_mat,
     mat_compose,
@@ -185,24 +186,22 @@ def check_equal(label: str, lhs: FMor, rhs: FMor, note: str = "") -> ReportItem:
             f"check {label!r}: comparing a map {lhs.dom!r} -> {lhs.cod!r} "
             f"with a map {rhs.dom!r} -> {rhs.cod!r}"
         )
-    if mat_eq(lhs.mat, rhs.mat):
+    diff = first_difference(lhs.mat, rhs.mat)
+    if diff is None:
         return ReportItem(label, True, note=note)
-    for idx, (a, b) in enumerate(zip(lhs.mat.entries, rhs.mat.entries)):
-        if a != b:
-            r, c = divmod(idx, lhs.mat.cols)
-            field = lhs.field
-            return ReportItem(
-                label,
-                False,
-                witness=Witness(
-                    basis_index=_unflatten(c, lhs.dom.dims),
-                    coordinate=_unflatten(r, lhs.cod.dims),
-                    lhs=field.fmt(a),
-                    rhs=field.fmt(b),
-                ),
-                note=note,
-            )
-    raise AssertionError("unreachable")
+    r, c = diff
+    field = lhs.field
+    return ReportItem(
+        label,
+        False,
+        witness=Witness(
+            basis_index=_unflatten(c, lhs.dom.dims),
+            coordinate=_unflatten(r, lhs.cod.dims),
+            lhs=field.fmt(lhs.mat[r, c]),
+            rhs=field.fmt(rhs.mat[r, c]),
+        ),
+        note=note,
+    )
 
 
 @dataclass(frozen=True)

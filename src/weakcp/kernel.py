@@ -1,15 +1,19 @@
-"""Exact matrix calculus: dense storage, zero-skipping products.
+"""Exact matrix calculus: row-sparse storage, products over the nonzeros.
 
 Composition, Kronecker tensor product, exact equality, right-solving, null
 spaces and constructive idempotent splitting, all over one of the exact
 fields from :mod:`weakcp.fields`.  Matrices are immutable; every operation
 returns a new matrix, so values may be shared freely between threads.
 
-Every matrix is stored densely, zeros included, so entries, equality and
-witness coordinates are plain tuple operations.  The operands the engine
-multiplies (identities, flips, ``f (x) id`` blocks) are a few percent
-nonzero, so :func:`mat_compose` and :func:`mat_tensor` find the nonzeros
-of their operands on each call and multiply only those.
+Every matrix stores each row as a tuple of its nonzero ``(column, value)``
+pairs, columns ascending, zeros never stored (the compressed-row layout).
+The matrices the engine multiplies (identities, flips, ``f (x) id``
+blocks) are a few percent nonzero, so :func:`mat_compose` is Gustavson's
+row-by-row product and :func:`mat_tensor` pairs the rows of its operands;
+neither allocates a dense buffer.  Equality compares rows.  The dense
+row-major view (``entries``, ``row``, ``column``, indexing) is derived on
+demand and cached; the elimination routines, whose matrices are small,
+work on it.
 
 Conventions (fixed for the whole engine):
 
@@ -26,6 +30,7 @@ not overflow, so prime-field arithmetic is exact for every prime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 from .fields import PrimeField, same_field
@@ -53,25 +58,46 @@ class InconsistentSystemError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mat:
-    """Dense row-major matrix over an exact field.
+    """Row-sparse matrix over an exact field.
 
-    ``entries`` holds all rows * cols entries, zeros included; the products
-    skip the zeros when they read it.
+    ``nonzeros`` holds one tuple per row of that row's nonzero
+    ``(column, value)`` pairs, columns ascending; zeros are never stored,
+    so equal matrices have equal ``nonzeros``.  ``Mat(rows, cols,
+    entries, field)`` takes the dense row-major entries and drops the
+    zeros; :meth:`from_nonzeros` takes the rows directly.
     """
 
     rows: int
     cols: int
-    entries: tuple
+    nonzeros: tuple
     field: object
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows, cols, entries, field):
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} "
+                f"entries, got {len(entries)}"
             )
+        columns = range(cols)
+        nonzeros = []
+        for r in range(rows):
+            row = entries[r * cols : (r + 1) * cols]
+            nonzeros.append(tuple(compress(zip(columns, row), row)))
+        self.__dict__.update(rows=rows, cols=cols, nonzeros=tuple(nonzeros),
+                             field=field)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """All rows * cols entries, row-major, zeros included."""
+        cols = self.cols
+        out = [self.field.zero()] * (self.rows * cols)
+        for r, row in enumerate(self.nonzeros):
+            base = r * cols
+            for c, x in row:
+                out[base + c] = x
+        return tuple(out)
 
     def __getitem__(self, rc):
         r, c = rc
@@ -81,10 +107,22 @@ class Mat:
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
     def column(self, c):
-        return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
+        return self.entries[c :: self.cols]
 
     def to_lists(self):
         return [list(self.row(r)) for r in range(self.rows)]
+
+    @classmethod
+    def from_nonzeros(cls, rows, cols, nonzeros, field) -> "Mat":
+        """A matrix from its rows of nonzero ``(column, value)`` pairs.
+
+        The caller guarantees the layout of ``nonzeros``: ``rows`` tuples,
+        columns ascending and below ``cols``, no zero values, values
+        already in the field.
+        """
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, nonzeros=nonzeros, field=field)
+        return m
 
     def __repr__(self):
         body = "; ".join(
@@ -109,20 +147,21 @@ def from_rows(rows_list, field) -> Mat:
 
 
 def identity_mat(n, field) -> Mat:
-    one, zero = field.one(), field.zero()
-    return Mat(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)), field)
+    one = field.one()
+    return Mat.from_nonzeros(n, n, tuple(((i, one),) for i in range(n)), field)
 
 
 def zero_mat(rows, cols, field) -> Mat:
-    return Mat(rows, cols, (field.zero(),) * (rows * cols), field)
+    return Mat.from_nonzeros(rows, cols, ((),) * rows, field)
 
 
 def mat_compose(g: Mat, f: Mat) -> Mat:
     """The composite g o f (matrix product g * f).
 
-    Gustavson's row-by-row product over the nonzeros only: each nonzero
-    g[i, t] adds g[i, t] * f[t, j] into entry (i, j) for every nonzero
-    f[t, j].  Prime-field entries are reduced once each, at the end.
+    Gustavson's row-by-row product: row i of the result is the sum, over
+    the nonzeros g[i, t], of g[i, t] times row t of f.  A coefficient 1
+    costs no multiplication, prime-field entries are reduced once each,
+    and entries that cancel are dropped.
     """
     field = same_field(g.field, f.field)
     if g.cols != f.rows:
@@ -130,62 +169,81 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
             f"cannot compose {g.rows}x{g.cols} with {f.rows}x{f.cols}: "
             f"{g.cols} != {f.rows}"
         )
-    n, k, m = g.rows, g.cols, f.cols
-    ge, fe = g.entries, f.entries
-    # the nonzeros of row t of f as (column, entry) pairs, scanned only
-    # when a nonzero of g first needs them
-    frows = [None] * k
-    cols = range(m)
-    out = [field.zero()] * (n * m)
-    for idx in compress(range(n * k), ge):
-        i, t = divmod(idx, k)
-        frow = frows[t]
-        if frow is None:
-            row = fe[t * m : (t + 1) * m]
-            frow = frows[t] = [(j, row[j]) for j in compress(cols, row)]
-        gv, base = ge[idx], i * m
-        for j, fv in frow:
-            out[base + j] += gv * fv
-    if isinstance(field, PrimeField):
-        p = field.p
-        out = [x % p for x in out]
-    return Mat(n, m, tuple(out), field)
+    p = field.p if isinstance(field, PrimeField) else None
+    one = field.one()
+    fnz = f.nonzeros
+    out = []
+    for grow in g.nonzeros:
+        if len(grow) == 1 and grow[0][1] == one:
+            # a single 1 selects a row of f, which is shared as it is
+            out.append(fnz[grow[0][0]])
+            continue
+        acc = {}
+        for t, a in grow:
+            unit = a == one
+            for j, b in fnz[t]:
+                ab = b if unit else a * b
+                if j in acc:
+                    acc[j] += ab
+                else:
+                    acc[j] = ab
+        if p is None:
+            out.append(tuple([(j, v) for j, v in sorted(acc.items()) if v]))
+        else:
+            out.append(tuple([(j, v) for j, x in sorted(acc.items()) if (v := x % p)]))
+    return Mat.from_nonzeros(g.rows, f.cols, tuple(out), field)
 
 
 def mat_tensor(f: Mat, g: Mat) -> Mat:
-    """Kronecker product f (x) g, over the nonzeros of f and g only."""
+    """Kronecker product f (x) g: row (i1, i2) pairs row i1 of f with row
+    i2 of g."""
     field = same_field(f.field, g.field)
-    rows, cols = f.rows * g.rows, f.cols * g.cols
     p = field.p if isinstance(field, PrimeField) else None
-    fe, ge = f.entries, g.entries
-    # the nonzeros of g, with their offsets inside one block of the output
-    gnz = [
-        (idx // g.cols * cols + idx % g.cols, ge[idx])
-        for idx in compress(range(len(ge)), ge)
-    ]
-    out = [field.zero()] * (rows * cols)
-    for idx in compress(range(len(fe)), fe):
-        i1, j1 = divmod(idx, f.cols)
-        a, base = fe[idx], i1 * g.rows * cols + j1 * g.cols
-        for off, b in gnz:
-            out[base + off] = a * b if p is None else a * b % p
-    return Mat(rows, cols, tuple(out), field)
+    one = field.one()
+    gc = g.cols
+    # each nonzero flagged when it is one, so that the identity blocks of
+    # f (x) id and id (x) f cost no multiplication
+    fnz = [[(j1 * gc, a, a == one) for j1, a in frow] for frow in f.nonzeros]
+    gnz = [[(j2, b, b == one) for j2, b in grow] for grow in g.nonzeros]
+    out = []
+    for frow in fnz:
+        for grow in gnz:
+            if p is None:
+                out.append(tuple([(base + j2, b if ua else a if ub else a * b)
+                                  for base, a, ua in frow for j2, b, ub in grow]))
+            else:
+                out.append(tuple([(base + j2, v)
+                                  for base, a, _ in frow for j2, b, _ in grow
+                                  if (v := a * b % p)]))
+    return Mat.from_nonzeros(f.rows * g.rows, f.cols * gc, tuple(out), field)
 
 
 def mat_eq(f: Mat, g: Mat) -> bool:
-    """Exact equality: identical shape and identical entries."""
-    return f.rows == g.rows and f.cols == g.cols and f.entries == g.entries
+    """Exact equality: identical shape and identical rows."""
+    return f.rows == g.rows and f.cols == g.cols and f.nonzeros == g.nonzeros
 
 
 def first_difference(f: Mat, g: Mat):
-    """First (row, col) where f and g differ, or None if equal."""
+    """First (row, col), in row-major order, where f and g differ, or None
+    if they are equal."""
     if f.rows != g.rows or f.cols != g.cols:
         raise ShapeError(
             f"cannot compare {f.rows}x{f.cols} with {g.rows}x{g.cols}"
         )
-    for idx, (a, b) in enumerate(zip(f.entries, g.entries)):
-        if a != b:
-            return divmod(idx, f.cols)
+    if f.nonzeros == g.nonzeros:
+        return None
+    for r, (frow, grow) in enumerate(zip(f.nonzeros, g.nonzeros)):
+        if frow == grow:
+            continue
+        for (jf, a), (jg, b) in zip(frow, grow):
+            if jf != jg:
+                # the smaller column is stored in one row and zero in the other
+                return r, min(jf, jg)
+            if a != b:
+                return r, jf
+        # one row is the other plus nonzeros further right
+        shorter = min(len(frow), len(grow))
+        return r, max(frow, grow, key=len)[shorter][0]
     return None
 
 

@@ -168,16 +168,27 @@ def _exchange_law(f: PrimeField, ba, ab, exchange) -> _ExchangeLaw:
     defect of ``exchange`` on the candidate whose only nonzero entry is a
     1 at entry k.  Both sides are linear in the candidate, so the defect of
     any candidate is C times its entries."""
-    n = ba.dim * ab.dim
-    columns = []
+    p, n = f.p, ba.dim * ab.dim
+    crows = {}  # row of C (a flat index of the defect) -> [(k, C[r, k]), ...]
     for k in range(n):
-        unit = Mat(ab.dim, ba.dim, tuple(int(i == k) for i in range(n)), f)
-        left, right = exchange(FMor(ba, ab, unit))
-        columns.append([(x - y) % f.p for x, y in zip(left.entries, right.entries)])
-    height = len(columns[0])
-    c = Mat(height, n, tuple(col[r] for r in range(height) for col in columns), f)
-    rows = {tuple((k, x) for k, x in enumerate(c.row(r)) if x)
-            for r in range(height)}
+        i, j = divmod(k, ba.dim)
+        unit = [()] * ab.dim
+        unit[i] = ((j, 1),)
+        left, right = exchange(
+            FMor(ba, ab, Mat.from_nonzeros(ab.dim, ba.dim, tuple(unit), f)))
+        for r, (lrow, rrow) in enumerate(zip(left.nonzeros, right.nonzeros)):
+            if lrow == rrow:
+                continue
+            defect = dict(lrow)
+            for col, y in rrow:
+                defect[col] = defect.get(col, 0) - y
+            for col, x in defect.items():
+                if x := x % p:
+                    crows.setdefault(r * left.cols + col, []).append((k, x))
+    height = left.rows * left.cols
+    c = Mat.from_nonzeros(
+        height, n, tuple(tuple(crows.get(r, ())) for r in range(height)), f)
+    rows = set(c.nonzeros)
     rows.discard(())
     return _ExchangeLaw(f.p, n, c, tuple(sorted(rows)))
 

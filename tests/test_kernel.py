@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIELDS, random_idempotent, random_mat
+from weakcp.fdvect import FMor, FObj, check_equal
 from weakcp.fields import GF, QQ, FieldMismatchError
 from weakcp.kernel import (
     BACKEND,
@@ -27,6 +28,7 @@ from weakcp.kernel import (
     split_idempotent,
     zero_mat,
 )
+from weakcp.report import Witness
 
 
 def test_compose_basic():
@@ -317,4 +319,52 @@ def test_products_match_naive_reference(data):
             assert type(x) is Fraction
         else:
             assert type(x) is int and 0 <= x < field.p
+    for result in (product, kron):
+        _check_storage(result, field, rng)
 
+
+def _dense_difference(x, y):
+    """First differing (row, col) of two same-shape matrices, scanning
+    their dense entries row-major."""
+    for idx, (a, b) in enumerate(zip(x.entries, y.entries)):
+        if a != b:
+            return divmod(idx, x.cols)
+    return None
+
+
+def _check_storage(m, field, rng):
+    """The rows of m are canonical, and equality and the witnesses read
+    from them agree with the dense entries."""
+    assert len(m.nonzeros) == m.rows
+    for row in m.nonzeros:
+        columns = [c for c, _ in row]
+        assert columns == sorted(set(columns))
+        assert all(0 <= c < m.cols for c in columns)
+        assert all(x for _, x in row)
+    rebuilt = Mat(m.rows, m.cols, m.entries, field)
+    assert rebuilt == m
+    # the same shape: m rebuilt, m with one entry changed, an unrelated matrix
+    others = [rebuilt, _sparse_mat(rng, m.rows, m.cols, field, rng.random())]
+    if m.entries:
+        changed = list(m.entries)
+        idx = rng.randrange(len(changed))
+        pool = _pool(field, rng)
+        # a zero becomes nonzero or a nonzero becomes zero or another value
+        changed[idx] = rng.choice(
+            [field.zero()] + [x for x in pool if x != changed[idx]]
+            if changed[idx] else pool)
+        others.append(Mat(m.rows, m.cols, tuple(changed), field))
+    dom, cod = FObj((("X", m.cols),)), FObj((("Y", m.rows),))
+    for other in others:
+        diff = _dense_difference(m, other)
+        assert mat_eq(m, other) == (m.entries == other.entries) == (diff is None)
+        assert first_difference(m, other) == diff
+        item = check_equal("c", FMor(dom, cod, m), FMor(dom, cod, other))
+        if diff is None:
+            assert item.passed is True
+        else:
+            r, c = diff
+            assert item.witness == Witness(
+                basis_index=(c,), coordinate=(r,),
+                lhs=field.fmt(m.entries[r * m.cols + c]),
+                rhs=field.fmt(other.entries[r * m.cols + c]))
