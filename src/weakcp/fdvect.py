@@ -41,9 +41,13 @@ class FObj:
 
     factors: tuple
 
+    def __post_init__(self):
+        # read by every morphism built, so computed once, not per access
+        object.__setattr__(self, "_dim", math.prod(d for _, d in self.factors))
+
     @property
     def dim(self) -> int:
-        return math.prod(d for _, d in self.factors)
+        return self._dim
 
     @property
     def dims(self) -> tuple:

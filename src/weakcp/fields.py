@@ -1,8 +1,11 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields.
 
 Every matrix in the engine carries one of these field objects; all entry
-arithmetic goes through it, so no rounding can ever occur.  Rational entries
-are `fractions.Fraction`, prime-field entries are ints in `0..p-1`.
+arithmetic goes through it, so no rounding can ever occur.  A rational entry
+is an `int` when it is whole and a `fractions.Fraction` with denominator
+greater than 1 otherwise, so that each value has one representation and
+whole numbers (most entries) cost int arithmetic; prime-field entries are
+ints in `0..p-1`.
 """
 
 from __future__ import annotations
@@ -49,29 +52,45 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _whole(x):
+    """The canonical form of a rational: an int when it is whole, else the
+    Fraction (whose denominator is then greater than 1)."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class RationalField:
-    """The field of rational numbers with arbitrary-precision integers."""
+    """The field of rational numbers with arbitrary-precision integers.
+
+    Every element it returns is in canonical form: an ``int`` when it is
+    whole, a ``Fraction`` with denominator greater than 1 otherwise.
+    """
 
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def coerce(self, x):
-        return Fraction(x)
+        if type(x) is int:
+            return x
+        if type(x) is str and x.isdecimal():
+            # the digits Fraction's pattern reads as a whole numerator,
+            # parsed without running that pattern
+            return int(x)
+        return _whole(Fraction(x))
 
     def add(self, a, b):
-        return a + b
+        return _whole(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _whole(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _whole(a * b)
 
     def neg(self, a):
         return -a
@@ -79,18 +98,16 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _whole(1 / Fraction(a))
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by 0")
-        return Fraction(a) / b
+        return _whole(Fraction(a) / b)
 
     def parse(self, s):
-        if isinstance(s, str):
-            return Fraction(s)
-        if isinstance(s, int):
-            return Fraction(s)
+        if isinstance(s, (str, int)):
+            return self.coerce(s)
         raise ValueError(f"cannot parse rational from {s!r}")
 
     def fmt(self, a) -> str:

@@ -7,8 +7,9 @@ unital quadruples, iterated unital pairs).  All names within a collection
 are unique, every cross-reference resolves by name, and everything lives
 over the one declared field.
 
-Scalar encodings: rationals are strings like ``"-3/7"``; prime-field
-entries are integers in ``0..p-1``.  A matrix is
+Scalar encodings: rationals are strings like ``"-3/7"`` or integers;
+prime-field entries are integers in ``0..p-1``.  JSON ``true`` and
+``false`` are rejected wherever an integer is expected.  A matrix is
 ``{"rows": n, "cols": m, "entries": [...]}`` in row-major order.
 
 Malformed input raises :class:`WorkspaceError` carrying a JSON pointer
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .fdvect import FMor, FObj, MonoidData, UNIT, vobj
 from .fields import PrimeField, field_from_descriptor
@@ -39,7 +39,8 @@ class WorkspaceError(ValueError):
 
 
 def _expect(obj, typ, what: str, ptr: str):
-    if not isinstance(obj, typ):
+    # no key takes a boolean, and JSON true/false must not pass for 1/0
+    if not isinstance(obj, typ) or isinstance(obj, bool):
         name = typ.__name__ if isinstance(typ, type) else "/".join(
             t.__name__ for t in typ
         )
@@ -82,9 +83,34 @@ def decode_scalar(x, field, ptr: str):
         return v
     _expect(x, (str, int), "a rational entry", ptr)
     try:
-        return Fraction(x)
+        return field.coerce(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise WorkspaceError(f"bad rational {x!r}: {exc}", ptr) from None
+
+
+def _decode_scalars(xs: list, field, ptr: str) -> tuple:
+    """The entries of a JSON list, decoded by :func:`decode_scalar`.
+
+    The whole list is checked at once; only when that check fails are the
+    entries decoded one by one, and the JSON pointer ``ptr/i`` is formatted
+    only for the first bad entry.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        if all(type(x) is int and 0 <= x < p for x in xs):
+            return tuple(xs)
+    elif all(type(x) is int or type(x) is str for x in xs):
+        try:
+            return tuple(map(field.coerce, xs))
+        except (ValueError, ZeroDivisionError):
+            pass
+    vals = []
+    for i, x in enumerate(xs):
+        try:
+            vals.append(decode_scalar(x, field, ptr))
+        except WorkspaceError as exc:
+            raise WorkspaceError(exc.message, f"{ptr}/{i}") from None
+    return tuple(vals)
 
 
 def encode_mat(m: Mat) -> dict:
@@ -108,10 +134,7 @@ def decode_mat(obj, field, ptr: str) -> Mat:
             f"got {len(entries)}",
             f"{ptr}/entries",
         )
-    vals = tuple(
-        decode_scalar(x, field, f"{ptr}/entries/{i}")
-        for i, x in enumerate(entries)
-    )
+    vals = _decode_scalars(entries, field, f"{ptr}/entries")
     return Mat(rows, cols, vals, field)
 
 
@@ -126,10 +149,7 @@ def decode_vector(obj, length: int, field, ptr: str) -> Mat:
         raise WorkspaceError(
             f"expected a vector of length {length}, got {len(obj)}", ptr
         )
-    vals = tuple(
-        decode_scalar(x, field, f"{ptr}/{i}") for i, x in enumerate(obj)
-    )
-    return Mat(length, 1, vals, field)
+    return Mat(length, 1, _decode_scalars(obj, field, ptr), field)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,11 @@ Conventions (fixed for the whole engine):
   that indexing.
 
 There is one backend, plain Python on exact entries: Python integers do
-not overflow, so prime-field arithmetic is exact for every prime.
+not overflow, so prime-field arithmetic is exact for every prime.  A
+rational entry is an ``int`` when it is whole and a ``Fraction`` only when
+its denominator is greater than 1 (see :mod:`weakcp.fields`); the products
+keep that form, so equal matrices have equal rows and whole entries cost
+int arithmetic.
 """
 
 from __future__ import annotations
@@ -161,7 +165,8 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
     Gustavson's row-by-row product: row i of the result is the sum, over
     the nonzeros g[i, t], of g[i, t] times row t of f.  A coefficient 1
     costs no multiplication, prime-field entries are reduced once each,
-    and entries that cancel are dropped.
+    whole rational entries become ints, and entries that cancel are
+    dropped.
     """
     field = same_field(g.field, f.field)
     if g.cols != f.rows:
@@ -188,7 +193,9 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
                 else:
                     acc[j] = ab
         if p is None:
-            out.append(tuple([(j, v) for j, v in sorted(acc.items()) if v]))
+            # a product or sum of Fractions may be whole: store an int
+            out.append(tuple([(j, v.numerator if v.denominator == 1 else v)
+                              for j, v in sorted(acc.items()) if v]))
         else:
             out.append(tuple([(j, v) for j, x in sorted(acc.items()) if (v := x % p)]))
     return Mat.from_nonzeros(g.rows, f.cols, tuple(out), field)
@@ -196,25 +203,22 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
 
 def mat_tensor(f: Mat, g: Mat) -> Mat:
     """Kronecker product f (x) g: row (i1, i2) pairs row i1 of f with row
-    i2 of g."""
+    i2 of g.
+
+    A factor 1 costs no multiplication, so the identity blocks of
+    f (x) id and id (x) f are copies; a product of two nonzeros of a field
+    is never zero, so nothing is filtered.
+    """
     field = same_field(f.field, g.field)
-    p = field.p if isinstance(field, PrimeField) else None
-    one = field.one()
+    mul, one = field.mul, field.one()
     gc = g.cols
-    # each nonzero flagged when it is one, so that the identity blocks of
-    # f (x) id and id (x) f cost no multiplication
     fnz = [[(j1 * gc, a, a == one) for j1, a in frow] for frow in f.nonzeros]
     gnz = [[(j2, b, b == one) for j2, b in grow] for grow in g.nonzeros]
     out = []
     for frow in fnz:
         for grow in gnz:
-            if p is None:
-                out.append(tuple([(base + j2, b if ua else a if ub else a * b)
-                                  for base, a, ua in frow for j2, b, ub in grow]))
-            else:
-                out.append(tuple([(base + j2, v)
-                                  for base, a, _ in frow for j2, b, _ in grow
-                                  if (v := a * b % p)]))
+            out.append(tuple([(base + j2, b if ua else a if ub else mul(a, b))
+                              for base, a, ua in frow for j2, b, ub in grow]))
     return Mat.from_nonzeros(f.rows * g.rows, f.cols * gc, tuple(out), field)
 
 

@@ -1,12 +1,14 @@
-"""Prime fields: the primality test and the field descriptor."""
+"""The fields: the primality test, the field descriptor, and the
+canonical form of rationals."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakcp.fields import GF, MR_BOUND, _is_prime, field_from_descriptor
+from weakcp.fields import GF, MR_BOUND, QQ, _is_prime, field_from_descriptor
 
 
 def trial_division(n):
@@ -52,3 +54,65 @@ def test_beyond_proven_bound_rejected():
 def test_descriptor_p_must_be_an_integer(p):
     with pytest.raises(ValueError, match="integer"):
         field_from_descriptor({"type": "Fp", "p": p})
+
+
+def _canonical(x):
+    """A rational in canonical form: an int, or a Fraction that is not whole."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+# Rationals in canonical form: whole ones (ints), fractions, and zero.
+rationals = st.one_of(st.integers(-10**30, 10**30), st.fractions()).map(QQ.coerce)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rationals, rationals)
+def test_rational_field_ops_canonical_and_exact(a, b):
+    assert _canonical(a) and _canonical(b)
+    fa, fb = Fraction(a), Fraction(b)
+    results = [
+        (QQ.zero(), Fraction(0)),
+        (QQ.one(), Fraction(1)),
+        (QQ.add(a, b), fa + fb),
+        (QQ.sub(a, b), fa - fb),
+        (QQ.mul(a, b), fa * fb),
+        (QQ.neg(a), -fa),
+        (QQ.coerce(fa), fa),
+        (QQ.parse(str(fa)), fa),
+    ]
+    if b:
+        results += [(QQ.inv(b), 1 / fb), (QQ.div(a, b), fa / fb)]
+    else:
+        for op in (lambda: QQ.inv(b), lambda: QQ.div(a, b)):
+            with pytest.raises(ZeroDivisionError):
+                op()
+    for got, want in results:
+        assert _canonical(got)
+        assert got == want
+    assert QQ.fmt(a) == str(fa)
+
+
+# Strings from the pieces Fraction's parser treats specially: signs,
+# spaces, digit-group underscores, slashes, points, exponents, a Unicode
+# digit and a superscript that is a digit to str.isdigit but not to int.
+scalar_strings = st.one_of(
+    st.text(st.sampled_from(list(" \t+-_/.eE0179٣²")), max_size=8),
+    st.sampled_from(["1" * 5000, "-" + "2" * 5000, "٣" * 5000, "1" * 4300]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(scalar_strings)
+def test_rational_coerce_matches_fraction(s):
+    try:
+        want = Fraction(s)
+    except Exception as exc:
+        for parse in (QQ.coerce, QQ.parse):
+            with pytest.raises(type(exc)) as got:
+                parse(s)
+            assert str(got.value) == str(exc)
+    else:
+        for parse in (QQ.coerce, QQ.parse):
+            got = parse(s)
+            assert _canonical(got)
+            assert got == want

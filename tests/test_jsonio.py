@@ -1,6 +1,7 @@
 """Workspace JSON encoding, decoding, and error pointers."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -171,3 +172,81 @@ def test_generated_files_are_canonical():
         text = fh.read()
     obj = json.loads(text)
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == text
+
+
+def test_first_bad_entry_named():
+    # the pointer and message of the first bad entry, not of a later one
+    with pytest.raises(WorkspaceError) as exc:
+        decode_mat({"rows": 1, "cols": 4, "entries": [1, 7, "x", 9]}, GF(5), "/m")
+    assert (exc.value.pointer, exc.value.message) == (
+        "/m/entries/1", "entry 7 out of range 0..4")
+    with pytest.raises(WorkspaceError) as exc:
+        decode_mat({"rows": 1, "cols": 4, "entries": ["1/2", 0.5, "x", "1/0"]},
+                   QQ, "/m")
+    assert (exc.value.pointer, exc.value.message) == (
+        "/m/entries/1", "expected a rational entry (str/int), got float")
+    with pytest.raises(WorkspaceError) as exc:
+        decode_mat({"rows": 1, "cols": 3, "entries": ["1", "1/0", "x"]}, QQ, "/m")
+    assert exc.value.pointer == "/m/entries/1"
+    assert exc.value.message.startswith("bad rational '1/0': ")
+
+
+def test_decoded_rationals_are_canonical():
+    m = decode_mat({"rows": 1, "cols": 5,
+                    "entries": ["4/2", 3, "-0", "٣", " 1/3 "]}, QQ, "/m")
+    assert m.entries == (2, 3, 0, 3, Fraction(1, 3))
+    assert [type(x) for x in m.entries] == [int, int, int, int, Fraction]
+
+
+def _fixture(name):
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", name)
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _set(obj, pointer, value):
+    *path, last = pointer.strip("/").split("/")
+    for key in path:
+        obj = obj[int(key)] if isinstance(obj, list) else obj[key]
+    obj[int(last) if isinstance(obj, list) else last] = value
+
+
+# JSON true and false are not numbers: bool is a subclass of int in
+# Python, so each of these was once read as 1 or 0.
+BOOLEANS = [
+    ("split-idempotent", "idempotents_f3.json", "/morphisms/0/mat/entries/1",
+     "expected a prime-field entry (int), got bool"),
+    ("check-quadruple", "flip_triple_q.json", "/monoids/0/mul/entries/0",
+     "expected a rational entry (str/int), got bool"),
+    ("check-quadruple", "flip_triple_q.json", "/monoids/0/unit/1",
+     "expected a rational entry (str/int), got bool"),
+    ("check-quadruple", "flip_triple_q.json", "/quadruples/0/psi/rows",
+     "expected a row count (int), got bool"),
+    ("check-quadruple", "flip_triple_q.json", "/quadruples/0/psi/cols",
+     "expected a column count (int), got bool"),
+    ("check-quadruple", "flip_triple_q.json", "/monoids/0/dim",
+     "expected a dimension (int), got bool"),
+    ("check-quadruple", "flip_triple_q.json", "/quadruples/0/V",
+     "expected a dimension (int), got bool"),
+]
+
+
+@pytest.mark.parametrize("cmd,fname,pointer,message", BOOLEANS,
+                         ids=[b[2] for b in BOOLEANS])
+def test_boolean_rejected_where_int_expected(cmd, fname, pointer, message,
+                                             tmp_path, capsys):
+    from weakcp.cli import main
+
+    obj = _fixture(fname)
+    _set(obj, pointer, True)
+    path = tmp_path / fname
+    path.write_text(json.dumps(obj))
+    with pytest.raises(WorkspaceError) as exc:
+        decode_workspace(obj)
+    assert (exc.value.pointer, exc.value.message) == (pointer, message)
+    assert main([cmd, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{pointer}: {message}" in captured.err

@@ -248,7 +248,7 @@ def test_large_prime_matches_integer_arithmetic(data):
 
 
 # Differential test of the zero-skipping products against the textbook
-# formulas, on the fields whose arithmetic differs: Q (Fraction entries),
+# formulas, on the fields whose arithmetic differs: Q (int and Fraction entries),
 # GF(2), GF(5) and a prime whose products overflow 64 bits.
 DIFF_FIELDS = (QQ, GF(2), GF(5), GF(3037000507))
 
@@ -316,7 +316,8 @@ def test_products_match_naive_reference(data):
     assert kron.entries == _naive_tensor(g, f)
     for x in product.entries + kron.entries:
         if field is QQ:
-            assert type(x) is Fraction
+            # canonical: a whole value is an int, never Fraction(n, 1)
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
         else:
             assert type(x) is int and 0 <= x < field.p
     for result in (product, kron):
