@@ -5,7 +5,8 @@ arithmetic goes through it, so no rounding can ever occur.  A rational entry
 is an `int` when it is whole and a `fractions.Fraction` with denominator
 greater than 1 otherwise, so that each value has one representation and
 whole numbers (most entries) cost int arithmetic; prime-field entries are
-ints in `0..p-1`.
+ints in `0..p-1`.  Coercion is exact as well: both fields refuse a float,
+and a prime field maps a Fraction n/d to n * d^-1.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _reject_float(x, field):
+    """TypeError for a float: the engine takes only exact values."""
+    if isinstance(x, float):
+        raise TypeError(
+            f"{field!r} takes exact values, not the float {x!r}; "
+            "give an int, a Fraction or a string")
+
+
 def _whole(x):
     """The canonical form of a rational: an int when it is whole, else the
     Fraction (whose denominator is then greater than 1)."""
@@ -81,6 +90,7 @@ class RationalField:
             # the digits Fraction's pattern reads as a whole numerator,
             # parsed without running that pattern
             return int(x)
+        _reject_float(x, self)
         return _whole(Fraction(x))
 
     def add(self, a, b):
@@ -141,6 +151,19 @@ class PrimeField:
         return 1
 
     def coerce(self, x):
+        """The image of an int, a numeral string or a Fraction n/d, which
+        maps to n * d^-1 (ValueError when p divides d); TypeError for a
+        float."""
+        if type(x) is int:
+            return x % self.p
+        if isinstance(x, Fraction):
+            n, d = x.numerator, x.denominator
+            if d % self.p == 0:
+                raise ValueError(
+                    f"{x} has no image in {self!r}: {self.p} divides its "
+                    "denominator")
+            return n * pow(d, -1, self.p) % self.p
+        _reject_float(x, self)
         return int(x) % self.p
 
     def add(self, a, b):

@@ -20,13 +20,18 @@ once per search:
 * a search bounded by ``limit`` and the random search walk the same codes
   as a brute-force search would (``range(limit)``; seeded ``randrange``
   without repeats) and drop each code that fails C before any matrix is
-  built.
+  built.  That test is C vec = 0 (mod p), row by row, and it decodes
+  only the digits a row reads, ``code // p**k % p`` with the powers
+  ``p**k`` computed once per search; the first failing row ends it.
 
 Every code that passes C still goes through ``law_from_code`` and the full
-axiom check, exchange law included.  The laws are classified by the rank
-of the induced idempotent; a law whose idempotent is neither zero nor the
-identity yields a genuinely weak crossed product.  On the diagonal
-algebras the nullity is 8 at dims (2,2) (256 solutions of 2**16 over GF(2),
+axiom check, exchange law included.  The whiskers of the monoid
+structure that the axioms compose with (``eta_B (x) A``, ``B (x) eta_A``,
+``B (x) mu_A``, ``mu_B (x) A``, ``mu_A (x) B`` and ``A (x) mu_B``) do not
+depend on the candidate and are built once per search.  The laws are
+classified by the rank of the induced idempotent; a law whose idempotent
+is neither zero nor the identity yields a genuinely weak crossed product.
+On the diagonal algebras the nullity is 8 at dims (2,2) (256 solutions of 2**16 over GF(2),
 6,561 of 3**16 over GF(3)), 18 at (2,3) and 45 at (3,3).
 """
 
@@ -80,22 +85,28 @@ def _wdl_predicate(a: MonoidData, b: MonoidData):
     ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
     mu_ab = tensor(a.mul, idb)
     amu_b = tensor(ida, b.mul)
+    # eta_B (x) A, B (x) eta_A, B (x) mu_A and mu_B (x) A, which do not
+    # depend on the candidate either
+    eta_ba = tensor(b.unit, ida)
+    beta_a = tensor(idb, a.unit)
+    bmu_a = tensor(idb, a.mul)
+    mu_ba = tensor(b.mul, ida)
 
     def exchange(lam: FMor):
-        left = compose(amu_b, tensor(compose(lam, tensor(b.unit, ida)), idb))
-        right = compose(mu_ab, tensor(ida, compose(lam, tensor(idb, a.unit))))
+        left = compose(amu_b, tensor(compose(lam, eta_ba), idb))
+        right = compose(mu_ab, tensor(ida, compose(lam, beta_a)))
         return left.mat, right.mat
 
     def accept(lam: FMor) -> bool:
         if not mat_eq(*exchange(lam)):
             return False
         if not mat_eq(
-            compose(lam, tensor(idb, a.mul)).mat,
+            compose(lam, bmu_a).mat,
             compose(mu_ab, tensor(ida, lam), tensor(lam, ida)).mat,
         ):
             return False
         return mat_eq(
-            compose(lam, tensor(b.mul, ida)).mat,
+            compose(lam, mu_ba).mat,
             compose(amu_b, tensor(lam, idb), tensor(idb, lam)).mat,
         )
 
@@ -118,7 +129,7 @@ class _ExchangeLaw:
     p: int
     entries: int  # entries of a candidate
     c: Mat  # the constraint matrix
-    rows: tuple  # distinct nonzero rows of C, each as ((k, C[r, k]), ...)
+    rows: tuple  # distinct nonzero rows of C, each as ((p**k, C[r, k]), ...)
 
     @functools.cached_property
     def basis(self) -> Mat:
@@ -131,14 +142,20 @@ class _ExchangeLaw:
         return self.p ** self.entries
 
     def holds(self, code: int) -> bool:
-        """Whether candidate ``code`` satisfies the law (C vec = 0)."""
+        """Whether candidate ``code`` satisfies the law, C vec = 0 (mod p).
+
+        The rows of C are tested in turn, and each reads only the digits
+        it has a coefficient for: digit k is ``code // p**k % p``, with
+        ``p**k`` stored in the row.  The first failing row ends the test.
+        """
         p = self.p
-        digits = []
-        for _ in range(self.entries):
-            code, d = divmod(code, p)
-            digits.append(d)
-        return all(sum(c * digits[k] for k, c in row) % p == 0
-                   for row in self.rows)
+        for row in self.rows:
+            s = 0
+            for pk, c in row:
+                s += c * (code // pk % p)
+            if s % p:
+                return False
+        return True
 
     def codes(self):
         """The codes of all solutions, ascending; SearchTooLarge if they
@@ -190,7 +207,8 @@ def _exchange_law(f: PrimeField, ba, ab, exchange) -> _ExchangeLaw:
         height, n, tuple(tuple(crows.get(r, ())) for r in range(height)), f)
     rows = set(c.nonzeros)
     rows.discard(())
-    return _ExchangeLaw(f.p, n, c, tuple(sorted(rows)))
+    return _ExchangeLaw(f.p, n, c, tuple(
+        tuple((p ** k, x) for k, x in row) for row in sorted(rows)))
 
 
 def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
@@ -258,9 +276,10 @@ def mine_wdl_random(a: MonoidData, b: MonoidData, seed: int, tries: int) -> Mine
     """Seeded random search for laws in spaces too large to enumerate."""
     def codes(law):
         rng = random.Random(seed)
+        space = law.space
         seen = set()
         for _ in range(tries):
-            code = rng.randrange(law.space)
+            code = rng.randrange(space)
             if code not in seen:
                 seen.add(code)
                 if law.holds(code):

@@ -1,5 +1,5 @@
-"""The fields: the primality test, the field descriptor, and the
-canonical form of rationals."""
+"""The fields: the primality test, the field descriptor, the canonical
+form of rationals, and exact coercion."""
 
 import time
 from fractions import Fraction
@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakcp.fields import GF, MR_BOUND, QQ, _is_prime, field_from_descriptor
+from weakcp.fixtures import q_twist, truncated_polynomial_algebra
+from weakcp.kernel import from_rows
 
 
 def trial_division(n):
@@ -116,3 +118,54 @@ def test_rational_coerce_matches_fraction(s):
             got = parse(s)
             assert _canonical(got)
             assert got == want
+
+
+@pytest.mark.parametrize("p,x,want", [
+    (5, Fraction(1, 2), 3),
+    (5, Fraction(-1, 2), 2),
+    (7, Fraction(-3, 4), 1),
+    (3, Fraction(10, 4), 1),  # 5/2, reduced first
+    (5, Fraction(6, 1), 1),
+    (5, -7, 3),
+    (5, "12", 2),
+    (5, True, 1),
+])
+def test_prime_coerce_is_exact(p, x, want):
+    assert GF(p).coerce(x) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 101]), st.fractions())
+def test_prime_coerce_inverts_the_denominator(p, x):
+    f = GF(p)
+    if x.denominator % p == 0:
+        with pytest.raises(ValueError, match="divides its denominator"):
+            f.coerce(x)
+    else:
+        got = f.coerce(x)
+        assert 0 <= got < p
+        assert got * x.denominator % p == x.numerator % p
+
+
+@pytest.mark.parametrize("p,x", [(5, Fraction(1, 5)), (5, Fraction(3, 10)),
+                                 (2, Fraction(1, 2))])
+def test_prime_coerce_rejects_a_multiple_of_p_below(p, x):
+    with pytest.raises(ValueError, match=f"{p} divides its denominator"):
+        GF(p).coerce(x)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["GF5", "Q"])
+@pytest.mark.parametrize("x", [2.7, 0.1, 3.0, -0.0, float("inf")])
+def test_coerce_rejects_floats(field, x):
+    with pytest.raises(TypeError, match="float"):
+        field.coerce(x)
+    with pytest.raises(TypeError, match="float"):
+        from_rows([[1, x]], field)
+
+
+def test_q_twist_takes_a_fraction_over_a_prime_field():
+    a = truncated_polynomial_algebra("A", 2, GF(5))
+    b = truncated_polynomial_algebra("B", 2, GF(5))
+    half = q_twist(b, a, Fraction(1, 2))
+    assert half.mat == q_twist(b, a, 3).mat
+    assert half.mat != q_twist(b, a, 0).mat

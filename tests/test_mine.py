@@ -1,5 +1,6 @@
 """The linear-first miner against the brute-force reference path."""
 
+import collections
 import time
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakcp import mine
+from weakcp.fdvect import identity
 from weakcp.fields import GF
 from weakcp.fixtures import diagonal_algebra
 from weakcp.kernel import mat_eq
@@ -119,3 +121,27 @@ def test_exhaustive_search_is_capped(monkeypatch):
     assert mine_wdl(*pair(2, 2, 2)).total == mine.REFERENCE_TOTAL
     # a bounded search of the same space still runs
     assert [law.code for law in mine_wdl(a, b, limit=100).laws] == [0, 1]
+
+
+def test_whiskers_built_once_per_search(monkeypatch):
+    """eta_B (x) A, B (x) eta_A, B (x) mu_A and mu_B (x) A are built once
+    per search, so one accept of a passing law builds only the six
+    tensors that contain the law."""
+    built = collections.Counter()
+    original = mine.tensor
+
+    def spy(f, g):
+        built[f, g] += 1
+        return original(f, g)
+
+    monkeypatch.setattr(mine, "tensor", spy)
+    a, b = pair(2, 2, 2)
+    assert mine_wdl(a, b).total == mine.REFERENCE_TOTAL
+    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
+    for key in [(b.unit, ida), (idb, a.unit), (idb, a.mul), (b.mul, ida)]:
+        assert built[key] == 1, key
+    s, lam = mine.mined_law()
+    _, accept = _wdl_predicate(s, s)
+    built.clear()
+    assert accept(lam)
+    assert sum(built.values()) == 6
