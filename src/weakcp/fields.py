@@ -115,11 +115,6 @@ class RationalField:
             raise ZeroDivisionError("division by 0")
         return _whole(Fraction(a) / b)
 
-    def parse(self, s):
-        if isinstance(s, (str, int)):
-            return self.coerce(s)
-        raise ValueError(f"cannot parse rational from {s!r}")
-
     def fmt(self, a) -> str:
         return str(a)
 
@@ -186,13 +181,6 @@ class PrimeField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def parse(self, s):
-        if isinstance(s, int):
-            return s % self.p
-        if isinstance(s, str):
-            return int(s) % self.p
-        raise ValueError(f"cannot parse F{self.p} element from {s!r}")
 
     def fmt(self, a) -> str:
         return str(a)

@@ -314,13 +314,6 @@ class Workspace:
     brz: dict = dc_field(default_factory=dict)
     dp: dict = dc_field(default_factory=dict)
 
-    def preunit_for(self, qname: str):
-        """The first preunit declared for the named quadruple, or None."""
-        for pname, (owner, nu) in self.preunits.items():
-            if owner == qname:
-                return nu
-        return None
-
 
 def _named_section(obj, key: str, ptr: str):
     """Iterate a list-of-named-objects section, checking name uniqueness."""

@@ -12,8 +12,9 @@ blocks) are a few percent nonzero, so :func:`mat_compose` is Gustavson's
 row-by-row product and :func:`mat_tensor` pairs the rows of its operands;
 neither allocates a dense buffer.  Equality compares rows.  The dense
 row-major view (``entries``, ``row``, ``column``, indexing) is derived on
-demand and cached; the elimination routines, whose matrices are small,
-work on it.
+demand and cached.  One Gauss-Jordan elimination routine works on it, for
+the small matrices it gets: rank, right-solving, null spaces and the
+splitting of idempotents all read its pivots.
 
 Conventions (fixed for the whole engine):
 
@@ -112,9 +113,6 @@ class Mat:
 
     def column(self, c):
         return self.entries[c :: self.cols]
-
-    def to_lists(self):
-        return [list(self.row(r)) for r in range(self.rows)]
 
     @classmethod
     def from_nonzeros(cls, rows, cols, nonzeros, field) -> "Mat":
@@ -251,36 +249,6 @@ def first_difference(f: Mat, g: Mat):
     return None
 
 
-def _column_basis(m: Mat):
-    """Greedy left-to-right pivot-column scan of m.
-
-    Returns (pivot_cols, basis) where basis holds the reduced columns as
-    (vector, pivot_row) pairs; the pivot row of each reduced column is its
-    first nonzero coordinate.
-    """
-    field = m.field
-    pivot_cols = []
-    basis = []  # (reduced column as list, pivot row)
-    for j in range(m.cols):
-        v = list(m.column(j))
-        for bv, pr in basis:
-            coeff = v[pr]
-            if coeff:
-                factor = field.div(coeff, bv[pr])
-                for r in range(m.rows):
-                    if bv[r]:
-                        v[r] = field.sub(v[r], field.mul(factor, bv[r]))
-        pr = next((r for r, x in enumerate(v) if x), None)
-        if pr is not None:
-            pivot_cols.append(j)
-            basis.append((v, pr))
-    return pivot_cols, basis
-
-
-def rank(m: Mat) -> int:
-    return len(_column_basis(m)[0])
-
-
 def _eliminate(rows, ncols, field):
     """Gauss-Jordan elimination, in place, on the first ncols columns.
 
@@ -308,6 +276,16 @@ def _eliminate(rows, ncols, field):
                     row[c] = field.sub(row[c], field.mul(factor, pivot_row[c]))
         pivots.append((prow, col))
     return pivots
+
+
+def rank(m: Mat) -> int:
+    """The number of pivots of m's Gauss-Jordan elimination.
+
+    The pivot columns are the columns outside the span of the columns
+    before them, so this is the column rank of m.
+    """
+    return len(_eliminate([list(m.row(r)) for r in range(m.rows)], m.cols,
+                          m.field))
 
 
 def solve_right(a: Mat, b: Mat) -> Mat:
@@ -382,11 +360,13 @@ class Splitting:
 def split_idempotent(e: Mat) -> Splitting:
     """Split an idempotent through its rank.
 
-    The injection's columns are the pivot columns of E under left-to-right
-    column reduction with first-nonzero pivot selection, which makes the
-    factorization deterministic and works over any exact field; the
-    projection is recovered by solving inj o proj = E.  proj o inj = id is
-    automatic (inj is injective and E o inj = inj) but re-verified anyway.
+    E is eliminated once.  The injection is E's columns at the pivots,
+    which are the columns outside the span of the columns before them;
+    the projection is the pivot rows of the eliminated E, each divided by
+    its pivot.  That is the rank factorization E = inj o proj, unique once
+    the pivot columns are fixed, so the splitting is deterministic over
+    any exact field.  proj o inj = id follows (inj is injective and
+    E o inj = inj); both equations are re-verified anyway.
     """
     if e.rows != e.cols:
         raise NotIdempotentError(f"matrix is {e.rows}x{e.cols}, not square")
@@ -399,14 +379,16 @@ def split_idempotent(e: Mat) -> Splitting:
             f"{e.field.fmt(ee[r, c])} but E[{r},{c}] = {e.field.fmt(e[r, c])}",
             witness=(r, c, ee[r, c], e[r, c]),
         )
-    pivot_cols, _ = _column_basis(e)
-    r = len(pivot_cols)
-    inj = from_rows(
-        [[e[i, j] for j in pivot_cols] for i in range(e.rows)], e.field
-    )
-    proj = solve_right(inj, e)
+    field = e.field
+    rows = [list(e.row(i)) for i in range(e.rows)]
+    pivots = _eliminate(rows, e.cols, field)
+    r = len(pivots)
+    inj = Mat(e.rows, r,
+              tuple(e[i, j] for i in range(e.rows) for _, j in pivots), field)
+    proj = Mat(r, e.cols, tuple(field.div(x, rows[i][j])
+                                for i, j in pivots for x in rows[i]), field)
     if not mat_eq(mat_compose(inj, proj), e) or not mat_eq(
-        mat_compose(proj, inj), identity_mat(r, e.field)
+        mat_compose(proj, inj), identity_mat(r, field)
     ):
         raise AssertionError("internal error: splitting equations failed")
     return Splitting(rank=r, inj=inj, proj=proj)

@@ -80,7 +80,6 @@ def test_rational_field_ops_canonical_and_exact(a, b):
         (QQ.mul(a, b), fa * fb),
         (QQ.neg(a), -fa),
         (QQ.coerce(fa), fa),
-        (QQ.parse(str(fa)), fa),
     ]
     if b:
         results += [(QQ.inv(b), 1 / fb), (QQ.div(a, b), fa / fb)]
@@ -109,15 +108,13 @@ def test_rational_coerce_matches_fraction(s):
     try:
         want = Fraction(s)
     except Exception as exc:
-        for parse in (QQ.coerce, QQ.parse):
-            with pytest.raises(type(exc)) as got:
-                parse(s)
-            assert str(got.value) == str(exc)
+        with pytest.raises(type(exc)) as got:
+            QQ.coerce(s)
+        assert str(got.value) == str(exc)
     else:
-        for parse in (QQ.coerce, QQ.parse):
-            got = parse(s)
-            assert _canonical(got)
-            assert got == want
+        got = QQ.coerce(s)
+        assert _canonical(got)
+        assert got == want
 
 
 @pytest.mark.parametrize("p,x,want", [

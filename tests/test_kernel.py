@@ -205,6 +205,50 @@ def test_split_200_random_idempotents_deterministic():
         assert sp.proj.entries == again.proj.entries
 
 
+PIVOT_FIELDS = FIELDS + (GF(3037000507),)
+
+
+def _columns_outside_earlier_span(m):
+    """The columns j of m outside the span of columns 0..j-1, in order."""
+    out = []
+    for j in range(m.cols):
+        before = Mat(m.rows, j, tuple(x for r in range(m.rows)
+                                      for x in m.row(r)[:j]), m.field)
+        try:
+            solve_right(before, Mat(m.rows, 1, m.column(j), m.field))
+        except InconsistentSystemError:
+            out.append(j)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rank_counts_columns_outside_earlier_span(data):
+    field = data.draw(st.sampled_from(PIVOT_FIELDS))
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, min(rows, cols) - 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    # a product through fewer than min(rows, cols) dimensions: rank-deficient
+    m = mat_compose(random_mat(rng, rows, k, field),
+                    random_mat(rng, k, cols, field))
+    assert rank(m) == len(_columns_outside_earlier_span(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_split_pivots_are_columns_outside_earlier_span(data):
+    field = data.draw(st.sampled_from(PIVOT_FIELDS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    e = random_idempotent(rng, data.draw(st.integers(1, 6)), field)
+    sp = split_idempotent(e)
+    pivots = _columns_outside_earlier_span(e)
+    assert mat_eq(sp.inj, Mat(e.rows, len(pivots), tuple(
+        e[i, j] for i in range(e.rows) for j in pivots), field))
+    # the reference construction: solve inj o proj = E for proj
+    assert mat_eq(sp.proj, solve_right(sp.inj, e))
+
+
 def test_first_difference():
     a = from_rows([[1, 2], [3, 4]], QQ)
     b = from_rows([[1, 2], [3, 5]], QQ)
