@@ -54,7 +54,11 @@ class FObj:
         return tuple(d for _, d in self.factors)
 
     def __matmul__(self, other: "FObj") -> "FObj":
-        return FObj(self.factors + other.factors)
+        # both dimensions are known: multiply them, not all the factors
+        out = object.__new__(FObj)
+        out.__dict__.update(factors=self.factors + other.factors,
+                            _dim=self._dim * other._dim)
+        return out
 
     def __repr__(self):
         if not self.factors:

@@ -203,13 +203,30 @@ def mat_tensor(f: Mat, g: Mat) -> Mat:
     """Kronecker product f (x) g: row (i1, i2) pairs row i1 of f with row
     i2 of g.
 
-    A factor 1 costs no multiplication, so the identity blocks of
-    f (x) id and id (x) f are copies; a product of two nonzeros of a field
-    is never zero, so nothing is filtered.
+    A factor 1 costs no multiplication; a product of two nonzeros of a
+    field is never zero, so nothing is filtered.  When every row of one
+    factor is a single 1 (an identity, a flip), each output row is a row
+    of the other factor re-indexed, with no test per entry, and the rows
+    that land at column offset 0 are shared as they are.
     """
     field = same_field(f.field, g.field)
     mul, one = field.mul, field.one()
     gc = g.cols
+    shape = (f.rows * g.rows, f.cols * gc)
+    if all(len(row) == 1 and row[0][1] == one for row in f.nonzeros):
+        out = []
+        for ((j1, _),) in f.nonzeros:
+            base = j1 * gc
+            if base:
+                out.extend(tuple([(base + j2, b) for j2, b in grow])
+                           for grow in g.nonzeros)
+            else:
+                out.extend(g.nonzeros)
+        return Mat.from_nonzeros(*shape, tuple(out), field)
+    if all(len(row) == 1 and row[0][1] == one for row in g.nonzeros):
+        return Mat.from_nonzeros(*shape, tuple(
+            tuple([(j1 * gc + j2, a) for j1, a in frow])
+            for frow in f.nonzeros for ((j2, _),) in g.nonzeros), field)
     fnz = [[(j1 * gc, a, a == one) for j1, a in frow] for frow in f.nonzeros]
     gnz = [[(j2, b, b == one) for j2, b in grow] for grow in g.nonzeros]
     out = []
@@ -217,7 +234,7 @@ def mat_tensor(f: Mat, g: Mat) -> Mat:
         for grow in gnz:
             out.append(tuple([(base + j2, b if ua else a if ub else mul(a, b))
                               for base, a, ua in frow for j2, b, ub in grow]))
-    return Mat.from_nonzeros(f.rows * g.rows, f.cols * gc, tuple(out), field)
+    return Mat.from_nonzeros(*shape, tuple(out), field)
 
 
 def mat_eq(f: Mat, g: Mat) -> bool:

@@ -13,10 +13,15 @@ elementary candidate (one entry 1, the rest 0).  That gives a constraint
 matrix C with C vec(lam) = 0 exactly when lam satisfies the law, built
 once per search:
 
-* the exhaustive search (``mine_wdl`` without a limit) walks only the
-  p**nullity(C) solutions, in ascending code order.  It refuses with
-  SearchTooLarge when they number more than EXHAUSTIVE_CAP = 65,536, the
-  size of the whole GF(2) (2,2) space;
+* the exhaustive search (``mine_wdl`` without a limit) works inside the
+  p**nullity(C) solutions.  The other two axioms, DL1 and DL3, are
+  quadratic in the coordinates x of a solution in the null-space basis;
+  they are expanded once, into one polynomial per coordinate of their
+  defect, and a depth-first walk fixes x_0, x_1, ... and prunes a branch
+  as soon as a polynomial whose variables are all fixed is nonzero.  The
+  survivors are sorted by code.  It refuses with SearchTooLarge when the
+  walk tries more than EXHAUSTIVE_CAP = 65,536 assignments, or when the
+  expansion alone would build more composites than that;
 * a search bounded by ``limit`` and the random search walk the same codes
   as a brute-force search would (``range(limit)``; seeded ``randrange``
   without repeats) and drop each code that fails C before any matrix is
@@ -24,15 +29,20 @@ once per search:
   only the digits a row reads, ``code // p**k % p`` with the powers
   ``p**k`` computed once per search; the first failing row ends it.
 
-Every code that passes C still goes through ``law_from_code`` and the full
-axiom check, exchange law included.  The whiskers of the monoid
-structure that the axioms compose with (``eta_B (x) A``, ``B (x) eta_A``,
-``B (x) mu_A``, ``mu_B (x) A``, ``mu_A (x) B`` and ``A (x) mu_B``) do not
-depend on the candidate and are built once per search.  The laws are
-classified by the rank of the induced idempotent; a law whose idempotent
-is neither zero nor the identity yields a genuinely weak crossed product.
-On the diagonal algebras the nullity is 8 at dims (2,2) (256 solutions of 2**16 over GF(2),
-6,561 of 3**16 over GF(3)), 18 at (2,3) and 45 at (3,3).
+Every code that passes C, or survives the walk, still goes through
+``law_from_code`` and the full axiom check, exchange law included.  The
+whiskers of the monoid structure that the axioms compose with
+(``eta_B (x) A``, ``B (x) eta_A``, ``B (x) mu_A``, ``mu_B (x) A``,
+``mu_A (x) B`` and ``A (x) mu_B``) do not depend on the candidate and are
+built once per search, for the expansion and the full check alike.  The
+laws are classified by the rank of the induced idempotent; a law whose
+idempotent is neither zero nor the identity yields a genuinely weak
+crossed product.
+On the diagonal algebras the nullity is 8 at dims (2,2) (256 solutions
+of 2**16 over GF(2), 6,561 of 3**16 over GF(3)), 18 at (2,3) and 45 at
+(3,3).  The walk tries 120 assignments at GF(2) (2,2), 2,486 at GF(2)
+(2,3) and 8,610 at GF(3) (2,3); GF(5) (2,3) would need 119,090 and GF(2)
+(3,3) 923,798, so both are refused.
 """
 
 from __future__ import annotations
@@ -41,12 +51,14 @@ import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .fdvect import FMor, MonoidData, compose, identity, tensor
+from .fdvect import FMor, FObj, MonoidData, compose, identity, tensor
 from .fields import GF, PrimeField
 from .fixtures import check_yang_baxter, diagonal_algebra, wdl_nabla
-from .kernel import Mat, identity_mat, mat_eq, nullspace, rank
+from .kernel import Mat, identity_mat, mat_compose, mat_eq, nullspace, rank
 
-EXHAUSTIVE_CAP = 65536  # most exchange-law solutions an exhaustive search walks
+# most assignments the walk of an exhaustive search tries, and most
+# composites per axiom its expansion builds
+EXHAUSTIVE_CAP = 65536
 
 
 class SearchTooLarge(ValueError):
@@ -78,6 +90,11 @@ def _wdl_predicate(a: MonoidData, b: MonoidData):
     of a candidate, and a closure testing all the weak-distributive-law
     axioms on one candidate.
 
+    ``accept.quadratic`` holds DL1 and DL3 as ``(left, q, p)`` triples:
+    the axiom holds for lam when ``left(lam) = q(lam) o p(lam)``.  The
+    left side is linear in lam and the right side ``q(lam1) o p(lam2)`` is
+    bilinear, which is what lets the exhaustive search expand them.
+
     Conditions are ordered so that the cheapest comparisons run first;
     most candidates die on the exchange law before the quadratic axioms
     are evaluated.
@@ -97,19 +114,24 @@ def _wdl_predicate(a: MonoidData, b: MonoidData):
         right = compose(mu_ab, tensor(ida, compose(lam, beta_a)))
         return left.mat, right.mat
 
+    quadratic = (
+        # DL1: lam (B (x) mu_A) = (mu_A (x) B)(A (x) lam)(lam (x) A)
+        (lambda lam: compose(lam, bmu_a),
+         lambda lam: compose(mu_ab, tensor(ida, lam)),
+         lambda lam: tensor(lam, ida)),
+        # DL3: lam (mu_B (x) A) = (A (x) mu_B)(lam (x) B)(B (x) lam)
+        (lambda lam: compose(lam, mu_ba),
+         lambda lam: compose(amu_b, tensor(lam, idb)),
+         lambda lam: tensor(idb, lam)),
+    )
+
     def accept(lam: FMor) -> bool:
         if not mat_eq(*exchange(lam)):
             return False
-        if not mat_eq(
-            compose(lam, bmu_a).mat,
-            compose(mu_ab, tensor(ida, lam), tensor(lam, ida)).mat,
-        ):
-            return False
-        return mat_eq(
-            compose(lam, mu_ba).mat,
-            compose(amu_b, tensor(lam, idb), tensor(idb, lam)).mat,
-        )
+        return all(mat_eq(left(lam).mat, compose(q(lam), p(lam)).mat)
+                   for left, q, p in quadratic)
 
+    accept.quadratic = quadratic
     return exchange, accept
 
 
@@ -127,7 +149,8 @@ class _ExchangeLaw:
     """The exchange law of a pair as linear conditions on candidate codes."""
 
     p: int
-    entries: int  # entries of a candidate
+    ba: FObj  # domain of a candidate
+    ab: FObj  # codomain of a candidate
     c: Mat  # the constraint matrix
     rows: tuple  # distinct nonzero rows of C, each as ((p**k, C[r, k]), ...)
 
@@ -135,6 +158,11 @@ class _ExchangeLaw:
     def basis(self) -> Mat:
         """A basis of the solutions (only the exhaustive search needs it)."""
         return nullspace(self.c)
+
+    @property
+    def entries(self) -> int:
+        """Entries of a candidate."""
+        return self.ba.dim * self.ab.dim
 
     @property
     def space(self) -> int:
@@ -159,7 +187,9 @@ class _ExchangeLaw:
 
     def codes(self):
         """The codes of all solutions, ascending; SearchTooLarge if they
-        number more than EXHAUSTIVE_CAP."""
+        number more than EXHAUSTIVE_CAP.  This linear walk, with the full
+        predicate on each code, is the reference path that the tests and
+        ``scripts/check_miner_oracle.py`` hold ``_walk`` to."""
         p, nullity = self.p, self.basis.cols
         if p ** nullity > EXHAUSTIVE_CAP:
             raise SearchTooLarge(
@@ -207,8 +237,140 @@ def _exchange_law(f: PrimeField, ba, ab, exchange) -> _ExchangeLaw:
         height, n, tuple(tuple(crows.get(r, ())) for r in range(height)), f)
     rows = set(c.nonzeros)
     rows.discard(())
-    return _ExchangeLaw(f.p, n, c, tuple(
+    return _ExchangeLaw(f.p, ba, ab, c, tuple(
         tuple((p ** k, x) for k, x in row) for row in sorted(rows)))
+
+
+def _dl_polynomials(law: _ExchangeLaw, quadratic) -> list:
+    """DL1 and DL3 as polynomials in the coordinates x of the exchange
+    law's solutions, one dict per axiom of ``quadratic``.
+
+    A solution is lam = sum_i x_i b_i over the basis laws b_i.  The left
+    side of an axiom is linear in lam and its right side bilinear, so the
+    defect left(lam) - q(lam) o p(lam) is exactly
+    sum_i x_i left(b_i) - sum_{i,j} x_i x_j q(b_i) o p(b_j): the 2n
+    factors q(b_i) and p(b_j) are built once, then the n**2 composites.
+    Each dict maps a flat coordinate of the defect to its polynomial
+    {(i, j): c}, the sum of c * y_i * y_j with y_0 = 1, y_k = x_(k-1)
+    and 0 <= i <= j, every c nonzero mod p; a coordinate that is zero for
+    every x is left out.
+    """
+    mod, basis, ab = law.p, law.basis, law.ab
+    laws = [FMor(law.ba, ab, Mat(ab.dim, law.ba.dim, basis.column(j),
+                                 basis.field))
+            for j in range(basis.cols)]
+    out = []
+    for left, q, p in quadratic:
+        polys = {}
+
+        def add(m, term, sign):
+            cols = m.cols
+            for r, row in enumerate(m.nonzeros):
+                for c, v in row:
+                    poly = polys.setdefault(r * cols + c, {})
+                    poly[term] = poly.get(term, 0) + sign * v
+
+        qs = [q(lam).mat for lam in laws]
+        ps = [p(lam).mat for lam in laws]
+        for i, lam in enumerate(laws, 1):
+            add(left(lam).mat, (0, i), 1)
+        for i, qi in enumerate(qs, 1):
+            for j, pj in enumerate(ps, 1):
+                add(mat_compose(qi, pj), (min(i, j), max(i, j)), -1)
+        out.append({r: reduced for r, poly in polys.items()
+                    if (reduced := {t: x % mod for t, x in poly.items()
+                                    if x % mod})})
+    return out
+
+
+def _walk(law: _ExchangeLaw, quadratic) -> list:
+    """The codes of the exchange law's solutions that satisfy DL1 and DL3,
+    ascending.
+
+    The coordinates x_0, x_1, ... of a solution are fixed depth first, in
+    basis order, each over 0..p-1, and each polynomial of
+    ``_dl_polynomials`` is evaluated as soon as its last variable is
+    fixed: a nonzero value prunes the branch.  Every value given to a
+    variable is one assignment tried; SearchTooLarge is raised as soon as
+    the walk tries more than EXHAUSTIVE_CAP, or up front when the n**2
+    composites of the expansion alone would exceed it.
+
+    All polynomials are evaluated at once, packed into one int: the
+    polynomial with index q (ordered by last variable) owns the ``width``
+    bits from ``q * width``.  The walk carries ``acc``, the packed sums of
+    the terms whose variables are all fixed.  Fixing y_k = v adds
+    v * (u + v * squares[k]), where u = sum_{i<k} y_i * adds[k][i] is
+    computed once per node.  A lane never exceeds its polynomial's
+    coefficient sum times (p-1)**2, which is below 2**(width - spare), so
+    lanes never carry into each other.  Once y_k is fixed the polynomials
+    that end at k, and those before them, fill the low lanes ``low``; they
+    are all 0 mod p exactly when p divides ``low`` and no lane of
+    ``low // p`` reaches its top ``spare`` bits (p <= 2**spare).
+    """
+    p, n = law.p, law.basis.cols
+    if n * n > EXHAUSTIVE_CAP:
+        raise SearchTooLarge(
+            f"{p}^{n} = {p ** n} candidates satisfy the exchange law, and "
+            f"expanding DL1 and DL3 over them takes {n}^2 = {n * n} "
+            f"composites each, more than the cap of {EXHAUSTIVE_CAP}")
+
+    def last(poly):
+        return max(j for _, j in poly)
+
+    polys = sorted((poly for axiom in _dl_polynomials(law, quadratic)
+                    for poly in axiom.values()), key=last)
+    spare = (p - 1).bit_length()
+    width = (max(map(sum, map(dict.values, polys)), default=0)
+             * (p - 1) ** 2).bit_length() + spare
+    top = ((1 << spare) - 1) << (width - spare)
+    adds = [{} for _ in range(n + 1)]
+    squares = [0] * (n + 1)
+    masks, tops = [0] * (n + 1), [0] * (n + 1)
+    for q, poly in enumerate(polys):
+        for (i, j), c in poly.items():
+            if i == j:
+                squares[j] += c << (q * width)
+            else:
+                adds[j][i] = adds[j].get(i, 0) + (c << (q * width))
+        h = last(poly)
+        masks[h] = (1 << ((q + 1) * width)) - 1
+        tops[h] += top << (q * width)
+    for k in range(1, n + 1):
+        masks[k] = max(masks[k], masks[k - 1])
+        tops[k] += tops[k - 1]
+
+    y = [1] + [0] * n
+    found = []
+    tries = 0
+
+    def visit(k, acc):
+        nonlocal tries
+        if k > n:
+            found.append(y[1:])
+            return
+        tries += p
+        if tries > EXHAUSTIVE_CAP:
+            raise SearchTooLarge(
+                f"{p}^{n} = {p ** n} candidates satisfy the exchange law, "
+                "and the walk over them tried more than the cap of "
+                f"{EXHAUSTIVE_CAP} assignments")
+        u = 0
+        for i, packed in adds[k].items():
+            if y[i]:
+                u += y[i] * packed
+        for v in range(p):
+            child = acc + v * (u + v * squares[k])
+            low = child & masks[k]
+            if low % p == 0 and not low // p & tops[k]:
+                y[k] = v
+                visit(k + 1, child)
+
+    visit(1, 0)
+    powers = [p ** e for e in range(law.entries)]
+    return sorted(
+        sum(sum(x[j] * g for j, g in row) % p * pk
+            for row, pk in zip(law.basis.nonzeros, powers))
+        for x in found)
 
 
 def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
@@ -225,15 +387,16 @@ def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
 def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:
     """Keep and classify the laws among the inspected candidates.
 
-    ``codes`` maps the pair's exchange law to the codes of the candidates
-    to inspect, in order; each must satisfy the exchange law, and the
-    full axiom check re-verifies it.
+    ``codes`` maps the pair's exchange law and its quadratic axioms
+    (``accept.quadratic`` of ``_wdl_predicate``) to the codes of the
+    candidates to inspect, in order; each must satisfy the exchange law,
+    and the full axiom check re-verifies it.
     """
     f, ba, ab = _law_space(a, b)
     exchange, accept = _wdl_predicate(a, b)
     idmat = identity_mat(ab.dim, f)
     result = MineResult()
-    for code in codes(_exchange_law(f, ba, ab, exchange)):
+    for code in codes(_exchange_law(f, ba, ab, exchange), accept.quadratic):
         lam = law_from_code(a, b, code)
         if not accept(lam):
             continue
@@ -259,14 +422,15 @@ def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:
 def mine_wdl(a: MonoidData, b: MonoidData, limit: int | None = None) -> MineResult:
     """All laws among the first ``limit`` codes, or among all codes.
 
-    Without a limit the search walks the solutions of the exchange law and
-    raises SearchTooLarge if there are more than EXHAUSTIVE_CAP of them.
+    Without a limit the search expands DL1 and DL3 over the solutions of
+    the exchange law and walks the expansion (see ``_walk``); it raises
+    SearchTooLarge if the walk tries more than EXHAUSTIVE_CAP assignments.
     With a limit it walks ``range(limit)`` and skips the codes that fail
     the exchange law; the full space has p**(dim(A)*dim(B))**2 codes.
     """
-    def codes(law):
+    def codes(law, quadratic):
         if limit is None:
-            return law.codes()
+            return _walk(law, quadratic)
         return filter(law.holds, range(min(law.space, limit)))
 
     return _mine(a, b, codes)
@@ -274,7 +438,7 @@ def mine_wdl(a: MonoidData, b: MonoidData, limit: int | None = None) -> MineResu
 
 def mine_wdl_random(a: MonoidData, b: MonoidData, seed: int, tries: int) -> MineResult:
     """Seeded random search for laws in spaces too large to enumerate."""
-    def codes(law):
+    def codes(law, quadratic):
         rng = random.Random(seed)
         space = law.space
         seen = set()

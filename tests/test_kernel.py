@@ -334,6 +334,31 @@ def _naive_tensor(f, g):
     )
 
 
+def _unit_rows_mat(rows, cols, targets, field):
+    """The matrix whose row r is a single 1 at column targets[r]."""
+    return Mat.from_nonzeros(rows, cols, tuple(
+        ((t, field.one()),) for t in targets), field)
+
+
+def _operand(data, rng, kind, rows, cols, field, density):
+    """A rows x cols operand of the drawn kind: sparse random, or one
+    whose every row is a single 1 (an identity, a flip, a selection);
+    the identity and the flip are square, of size cols."""
+    if kind == "identity":
+        return _unit_rows_mat(cols, cols, range(cols), field)
+    if kind == "flip":
+        # X (x) Y -> Y (x) X with dim X * dim Y = cols
+        a = data.draw(st.sampled_from(
+            [d for d in range(1, cols + 1) if cols % d == 0] or [0]), label="a")
+        b = cols // a if a else 0
+        return _unit_rows_mat(cols, cols, [
+            i * b + j for j in range(b) for i in range(a)], field)
+    if kind == "select" and cols:
+        return _unit_rows_mat(rows, cols, [
+            rng.randrange(cols) for _ in range(rows)], field)
+    return _sparse_mat(rng, rows, cols, field, density)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_products_match_naive_reference(data):
@@ -342,9 +367,19 @@ def test_products_match_naive_reference(data):
     density = data.draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0)),
                         label="density")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    g = _sparse_mat(rng, n, k, field, density)
-    f = _sparse_mat(rng, k, m, field, density)
-    if k >= 2 and data.draw(st.booleans(), label="cancel"):
+    # identities, flips and selections, which mat_tensor re-indexes
+    # instead of pairing entries, on either side
+    kinds = [data.draw(st.sampled_from(
+        ["sparse", "sparse", "identity", "flip", "select"]), label=side)
+        for side in ("g kind", "f kind")]
+    if kinds[0] in ("identity", "flip"):
+        n = k
+    if kinds[1] in ("identity", "flip"):
+        m = k
+    g = _operand(data, rng, kinds[0], n, k, field, density)
+    f = _operand(data, rng, kinds[1], k, m, field, density)
+    if (k >= 2 and kinds == ["sparse", "sparse"]
+            and data.draw(st.booleans(), label="cancel")):
         # column 1 of g is minus column 0 and row 1 of f equals row 0, so
         # the t = 0 and t = 1 terms of every output entry cancel exactly
         ge, fe = list(g.entries), list(f.entries)

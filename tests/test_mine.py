@@ -1,6 +1,8 @@
-"""The linear-first miner against the brute-force reference path."""
+"""The miner against the brute-force reference path: the exchange-law
+test, the expansion of DL1 and DL3 and the walk over it."""
 
 import collections
+import itertools
 import time
 
 import pytest
@@ -8,15 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakcp import mine
-from weakcp.fdvect import identity
+from weakcp.fdvect import compose, identity
 from weakcp.fields import GF
-from weakcp.fixtures import diagonal_algebra
+from weakcp.fixtures import (
+    cyclic_group_algebra,
+    diagonal_algebra,
+    truncated_polynomial_algebra,
+)
 from weakcp.kernel import mat_eq
 from weakcp.mine import (
     SearchTooLarge,
+    _dl_polynomials,
     _exchange_law,
     _law_space,
     _mine,
+    _walk,
     _wdl_predicate,
     law_from_code,
     mine_wdl,
@@ -101,7 +109,7 @@ def test_null_space_path_matches_brute_force(gf3_exhaustive):
     every code."""
     a, b = pair(3, 2, 2)
     limit = 20000
-    brute = _mine(a, b, lambda law: range(limit))
+    brute = _mine(a, b, lambda law, quadratic: range(limit))
     assert len(brute.laws) == 6
     fast = [law for law in summary(gf3_exhaustive) if law[0] < limit]
     assert summary(brute) == fast
@@ -114,13 +122,99 @@ def test_exhaustive_search_is_capped(monkeypatch):
     with pytest.raises(SearchTooLarge, match=r"2\^45"):
         mine_wdl(a, b)
     assert time.perf_counter() - t0 < 1
-    monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 255)
+    # the walk over the 2^8 solutions at GF(2) (2,2) tries 120 assignments
+    monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 119)
     with pytest.raises(SearchTooLarge, match=r"2\^8 = 256"):
         mine_wdl(*pair(2, 2, 2))
-    monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 256)
+    monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 120)
     assert mine_wdl(*pair(2, 2, 2)).total == mine.REFERENCE_TOTAL
     # a bounded search of the same space still runs
     assert [law.code for law in mine_wdl(a, b, limit=100).laws] == [0, 1]
+
+
+def test_expansion_is_capped(monkeypatch):
+    """The n^2 composites per axiom of the expansion count against the cap
+    before the walk starts, so a large nullity is refused at once."""
+    t0 = time.perf_counter()
+    with pytest.raises(SearchTooLarge, match=r"2\^260 .* 260\^2 = 67600"):
+        mine_wdl(*pair(2, 4, 5))
+    assert time.perf_counter() - t0 < 1
+    monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 63)
+    with pytest.raises(SearchTooLarge, match=r"2\^8 = 256 .* 8\^2 = 64"):
+        mine_wdl(*pair(2, 2, 2))
+
+
+# (p, s, t, nullity) with p^nullity <= 6,561 for p in 2, 3, 5 and dims in
+# {1,2} x {1,2,3}: small enough to run accept on every solution
+ORACLE_CASES = [
+    (2, 1, 1, 1), (2, 1, 2, 2), (2, 1, 3, 3), (2, 2, 1, 2), (2, 2, 2, 8),
+    (3, 1, 1, 1), (3, 1, 2, 2), (3, 1, 3, 3), (3, 2, 1, 2), (3, 2, 2, 8),
+    (5, 1, 1, 1), (5, 1, 2, 2), (5, 1, 3, 3), (5, 2, 1, 2),
+]
+
+
+def _walk_and_oracle(a, b):
+    """The walk's survivors, before accept, and the solutions of the
+    exchange law that pass the full predicate."""
+    exchange, accept = _wdl_predicate(a, b)
+    law = _exchange_law(*_law_space(a, b), exchange)
+    oracle = [code for code in law.codes()
+              if accept(law_from_code(a, b, code))]
+    return law, _walk(law, accept.quadratic), oracle
+
+
+@pytest.mark.parametrize("p,s,t,nullity", ORACLE_CASES)
+def test_walk_matches_null_space_oracle(p, s, t, nullity):
+    law, walk, oracle = _walk_and_oracle(*pair(p, s, t))
+    assert law.basis.cols == nullity
+    assert walk == oracle
+
+
+ALGEBRAS = {"diagonal": diagonal_algebra,
+            "truncated": truncated_polynomial_algebra,
+            "cyclic": cyclic_group_algebra}
+
+
+@pytest.mark.parametrize("p,kind_a,kind_b", [
+    (2, *kinds) for kinds in itertools.product(ALGEBRAS, repeat=2)
+    if kinds != ("diagonal", "diagonal")] + [(3, "truncated", "cyclic")])
+def test_walk_matches_oracle_on_other_algebras(p, kind_a, kind_b):
+    """Two-dimensional algebras whose multiplications are not selections,
+    so that the polynomials differ from the diagonal ones."""
+    a = ALGEBRAS[kind_a]("S", 2, GF(p))
+    b = ALGEBRAS[kind_b]("T", 2, GF(p))
+    _, walk, oracle = _walk_and_oracle(a, b)
+    assert walk == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_polynomials_match_composites(data):
+    """At every coordinate, each DL1 and DL3 polynomial evaluated at x is
+    the defect left(lam) - q(lam) o p(lam) of lam = sum_i x_i b_i."""
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    s = data.draw(st.sampled_from([1, 2]), label="s")
+    t = data.draw(st.sampled_from([1, 2, 3]), label="t")
+    kind_a, kind_b = (data.draw(st.sampled_from(sorted(ALGEBRAS)), label=x)
+                      for x in ("A", "B"))
+    a = ALGEBRAS[kind_a]("S", s, GF(p))
+    b = ALGEBRAS[kind_b]("T", t, GF(p))
+    exchange, accept = _wdl_predicate(a, b)
+    law = _exchange_law(*_law_space(a, b), exchange)
+    n = law.basis.cols
+    x = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                  label="x")
+    digits = [sum(c * law.basis[i, j] for j, c in enumerate(x)) % p
+              for i in range(law.entries)]
+    lam = law_from_code(a, b, sum(d * p ** k for k, d in enumerate(digits)))
+    y = [1] + x
+    for (left, q, right), polys in zip(accept.quadratic,
+                                      _dl_polynomials(law, accept.quadratic)):
+        lhs, rhs = left(lam).mat, compose(q(lam), right(lam)).mat
+        for r, (u, v) in enumerate(zip(lhs.entries, rhs.entries)):
+            value = sum(c * y[i] * y[j] for (i, j), c in
+                        polys.get(r, {}).items())
+            assert value % p == (u - v) % p, r
 
 
 def test_whiskers_built_once_per_search(monkeypatch):
