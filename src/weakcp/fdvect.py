@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import same_field
 from .kernel import (
     Mat,
     ShapeError,
@@ -74,13 +73,6 @@ def vobj(name: str, dim: int) -> FObj:
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     return FObj(((name, dim),))
-
-
-def tensor_obj(*objs: FObj) -> FObj:
-    out = UNIT
-    for o in objs:
-        out = out @ o
-    return out
 
 
 def flatten_index(dims, multi) -> int:
@@ -267,33 +259,3 @@ def check_monoid(m: MonoidData, prefix: str = "") -> Report:
     rep.add(check_equal(prefix + "unit-right", compose(mu, tensor(ida, eta)), ida))
     return rep
 
-
-@dataclass(frozen=True)
-class ModuleData:
-    """A left module: an action A (x) M -> M of a monoid on a space."""
-
-    algebra: MonoidData
-    carrier: FObj
-    action: FMor
-
-
-def regular_module(m: MonoidData) -> ModuleData:
-    """The monoid acting on itself by multiplication."""
-    return ModuleData(m, m.obj, m.mul)
-
-
-def check_left_module(d: ModuleData, prefix: str = "") -> Report:
-    """Left-module axioms for an action A (x) M -> M."""
-    m, x, action = d.algebra, d.carrier, d.action
-    field = same_field(m.field, action.field)
-    ida, idx = identity(m.obj, field), identity(x, field)
-    rep = Report()
-    rep.add(check_equal(
-        prefix + "module-assoc",
-        compose(action, tensor(m.mul, idx)),
-        compose(action, tensor(ida, action)),
-    ))
-    rep.add(check_equal(
-        prefix + "module-unit", compose(action, tensor(m.unit, idx)), idx
-    ))
-    return rep

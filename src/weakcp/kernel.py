@@ -10,11 +10,12 @@ pairs, columns ascending, zeros never stored (the compressed-row layout).
 The matrices the engine multiplies (identities, flips, ``f (x) id``
 blocks) are a few percent nonzero, so :func:`mat_compose` is Gustavson's
 row-by-row product and :func:`mat_tensor` pairs the rows of its operands;
-neither allocates a dense buffer.  Equality compares rows.  The dense
-row-major view (``entries``, ``row``, ``column``, indexing) is derived on
-demand and cached.  One Gauss-Jordan elimination routine works on it, for
-the small matrices it gets: rank, right-solving, null spaces and the
-splitting of idempotents all read its pivots.
+neither allocates a dense buffer.  Equality compares rows, and indexing
+reads one stored row.  One sparse routine computes the reduced row
+echelon form, on rows held as dicts of their nonzeros: rank,
+right-solving, null spaces and the splitting of idempotents all read
+their results from it.  The dense row-major view ``entries`` is derived
+on demand and cached, for the JSON encoders and ``repr``.
 
 Conventions (fixed for the whole engine):
 
@@ -106,13 +107,7 @@ class Mat:
 
     def __getitem__(self, rc):
         r, c = rc
-        return self.entries[r * self.cols + c]
-
-    def row(self, r):
-        return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def column(self, c):
-        return self.entries[c :: self.cols]
+        return dict(self.nonzeros[r]).get(c, self.field.zero())
 
     @classmethod
     def from_nonzeros(cls, rows, cols, nonzeros, field) -> "Mat":
@@ -127,8 +122,10 @@ class Mat:
         return m
 
     def __repr__(self):
+        entries, cols = self.entries, self.cols
         body = "; ".join(
-            " ".join(self.field.fmt(x) for x in self.row(r)) for r in range(self.rows)
+            " ".join(self.field.fmt(x) for x in entries[r * cols : (r + 1) * cols])
+            for r in range(self.rows)
         )
         return f"Mat({self.rows}x{self.cols} over {self.field!r}: [{body}])"
 
@@ -153,10 +150,6 @@ def identity_mat(n, field) -> Mat:
     return Mat.from_nonzeros(n, n, tuple(((i, one),) for i in range(n)), field)
 
 
-def zero_mat(rows, cols, field) -> Mat:
-    return Mat.from_nonzeros(rows, cols, ((),) * rows, field)
-
-
 def mat_compose(g: Mat, f: Mat) -> Mat:
     """The composite g o f (matrix product g * f).
 
@@ -177,6 +170,9 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
     fnz = f.nonzeros
     out = []
     for grow in g.nonzeros:
+        if not grow:
+            out.append(grow)
+            continue
         if len(grow) == 1 and grow[0][1] == one:
             # a single 1 selects a row of f, which is shared as it is
             out.append(fnz[grow[0][0]])
@@ -266,51 +262,66 @@ def first_difference(f: Mat, g: Mat):
     return None
 
 
-def _eliminate(rows, ncols, field):
-    """Gauss-Jordan elimination, in place, on the first ncols columns.
+def _rref(nonzeros, field) -> dict:
+    """The reduced row echelon form of the rows ``nonzeros``, each a tuple
+    of ``(column, value)`` pairs: its nonzero rows, as dicts ``{column:
+    value}``, by pivot column.
 
-    ``rows`` is a list of row lists, possibly longer than ncols (an
-    augmented system); row operations act on the whole row.  Each pivot is
-    the first nonzero entry of its column at or below the next pivot row,
-    and is cleared from every other row but not scaled to one.  Returns the
-    pivots as (row, col) pairs; they occupy rows 0, 1, ... in order.
+    The rows are taken one at a time.  Each is cleared of the pivots found
+    so far; if a nonzero is left, the first one becomes a new pivot: the
+    row is scaled to make it 1, and its column is cleared from every other
+    pivot row.  A row space has one reduced echelon form, so the result
+    does not depend on the order of the rows: the pivot columns are the
+    columns outside the span of the columns before them.
     """
-    pivots = []
-    for col in range(ncols):
-        prow = len(pivots)
-        if prow == len(rows):
-            break
-        pr = next((r for r in range(prow, len(rows)) if rows[r][col]), None)
-        if pr is None:
+    sub, mul, zero = field.sub, field.mul, field.zero()
+    pivots = {}
+
+    def clear(row, col, prow):
+        # row -= row[col] * prow, where prow is 1 at col
+        f = row.pop(col)
+        for j, x in prow.items():
+            if j != col:
+                if v := sub(row.get(j, zero), mul(f, x)):
+                    row[j] = v
+                else:
+                    del row[j]
+
+    for nz in nonzeros:
+        row = dict(nz)
+        # a pivot row is 0 at every other pivot column, so clearing one
+        # pivot leaves the row's entries at the others as they were
+        for col in [c for c in row if c in pivots]:
+            clear(row, col, pivots[col])
+        if not row:
             continue
-        rows[prow], rows[pr] = rows[pr], rows[prow]
-        pivot_row = rows[prow]
-        piv = pivot_row[col]
-        for r, row in enumerate(rows):
-            if r != prow and row[col]:
-                factor = field.div(row[col], piv)
-                for c in range(col, len(row)):
-                    row[c] = field.sub(row[c], field.mul(factor, pivot_row[c]))
-        pivots.append((prow, col))
+        lead = min(row)
+        s = field.inv(row[lead])
+        row = {j: mul(s, x) for j, x in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                clear(other, lead, row)
+        pivots[lead] = row
     return pivots
 
 
 def rank(m: Mat) -> int:
-    """The number of pivots of m's Gauss-Jordan elimination.
+    """The number of pivots of m's reduced row echelon form.
 
     The pivot columns are the columns outside the span of the columns
     before them, so this is the column rank of m.
     """
-    return len(_eliminate([list(m.row(r)) for r in range(m.rows)], m.cols,
-                          m.field))
+    return len(_rref(m.nonzeros, m.field))
 
 
 def solve_right(a: Mat, b: Mat) -> Mat:
-    """X with a o X = b, solved column by column by Gaussian elimination.
+    """X with a o X = b, read from the reduced echelon form of [a | b].
 
     Free variables (when a has deficient column rank) are set to zero, so
-    the result is deterministic; an inconsistent column raises
-    InconsistentSystemError naming the column.
+    the result is deterministic.  A pivot in column c of b means that
+    column is outside the span of a and of the columns of b before it;
+    the first such c, the smallest column of b outside the column space
+    of a, is named by InconsistentSystemError.
     """
     field = same_field(a.field, b.field)
     if a.rows != b.rows:
@@ -319,23 +330,18 @@ def solve_right(a: Mat, b: Mat) -> Mat:
             "different numbers of rows"
         )
     n = a.cols
-    rows = [list(a.row(r)) + list(b.row(r)) for r in range(a.rows)]
-    pivots = _eliminate(rows, n, field)
-    for r in range(len(pivots), a.rows):
-        for c in range(b.cols):
-            if rows[r][n + c]:
-                raise InconsistentSystemError(
-                    f"column {c} of the right-hand side is outside the "
-                    "column space", c
-                )
-    zero = field.zero()
-    x = [[zero] * b.cols for _ in range(n)]
-    for r, col in pivots:
-        piv = rows[r][col]
-        for c in range(b.cols):
-            x[col][c] = field.div(rows[r][n + c], piv)
-    # build directly (not via from_rows) so a 0 x n result keeps its shape
-    return Mat(n, b.cols, tuple(v for row in x for v in row), field)
+    pivots = _rref((arow + tuple((n + c, x) for c, x in brow)
+                    for arow, brow in zip(a.nonzeros, b.nonzeros)), field)
+    bad = min((c for c in pivots if c >= n), default=None)
+    if bad is not None:
+        raise InconsistentSystemError(
+            f"column {bad - n} of the right-hand side is outside the "
+            "column space", bad - n
+        )
+    x = [()] * n
+    for col, row in pivots.items():
+        x[col] = tuple(sorted((c - n, v) for c, v in row.items() if c >= n))
+    return Mat.from_nonzeros(n, b.cols, tuple(x), field)
 
 
 def nullspace(m: Mat) -> Mat:
@@ -347,22 +353,19 @@ def nullspace(m: Mat) -> Mat:
     deterministic, and rank(m) + nullity = m.cols.
     """
     field = m.field
-    rows = [list(m.row(r)) for r in range(m.rows)]
-    pivots = _eliminate(rows, m.cols, field)
-    pivot_cols = {c for _, c in pivots}
-    zero, one = field.zero(), field.one()
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_cols:
-            continue
-        v = [zero] * m.cols
-        v[f] = one
-        for r, c in pivots:
-            if rows[r][f]:
-                v[c] = field.neg(field.div(rows[r][f], rows[r][c]))
-        basis.append(v)
-    return Mat(m.cols, len(basis),
-               tuple(v[i] for i in range(m.cols) for v in basis), field)
+    pivots = _rref(m.nonzeros, field)
+    free = {f: k for k, f in enumerate(c for c in range(m.cols)
+                                       if c not in pivots)}
+    one, neg = field.one(), field.neg
+    out = []
+    for i in range(m.cols):
+        if i in free:
+            out.append(((free[i], one),))
+        else:
+            # the pivot row is 1 at i and 0 at the other pivot columns
+            out.append(tuple(sorted((free[j], neg(x))
+                                    for j, x in pivots[i].items() if j != i)))
+    return Mat.from_nonzeros(m.cols, len(free), tuple(out), field)
 
 
 @dataclass(frozen=True)
@@ -377,35 +380,35 @@ class Splitting:
 def split_idempotent(e: Mat) -> Splitting:
     """Split an idempotent through its rank.
 
-    E is eliminated once.  The injection is E's columns at the pivots,
-    which are the columns outside the span of the columns before them;
-    the projection is the pivot rows of the eliminated E, each divided by
-    its pivot.  That is the rank factorization E = inj o proj, unique once
-    the pivot columns are fixed, so the splitting is deterministic over
-    any exact field.  proj o inj = id follows (inj is injective and
-    E o inj = inj); both equations are re-verified anyway.
+    E is brought to reduced row echelon form once.  The injection is E's
+    columns at the pivots, which are the columns outside the span of the
+    columns before them; the projection is the nonzero rows of the
+    echelon form.  That is the rank factorization E = inj o proj of any
+    matrix, unique once the pivot columns are fixed, so the splitting is
+    deterministic over any exact field.  inj is injective and proj
+    surjective, so E o E = E exactly when proj o inj = id, the r x r
+    product that is checked; E o E is formed only to name a witness.
     """
     if e.rows != e.cols:
         raise NotIdempotentError(f"matrix is {e.rows}x{e.cols}, not square")
-    ee = mat_compose(e, e)
-    diff = first_difference(ee, e)
-    if diff is not None:
-        r, c = diff
-        raise NotIdempotentError(
-            f"matrix is not idempotent: (E*E)[{r},{c}] = "
-            f"{e.field.fmt(ee[r, c])} but E[{r},{c}] = {e.field.fmt(e[r, c])}",
-            witness=(r, c, ee[r, c], e[r, c]),
-        )
     field = e.field
-    rows = [list(e.row(i)) for i in range(e.rows)]
-    pivots = _eliminate(rows, e.cols, field)
-    r = len(pivots)
-    inj = Mat(e.rows, r,
-              tuple(e[i, j] for i in range(e.rows) for _, j in pivots), field)
-    proj = Mat(r, e.cols, tuple(field.div(x, rows[i][j])
-                                for i, j in pivots for x in rows[i]), field)
-    if not mat_eq(mat_compose(inj, proj), e) or not mat_eq(
-        mat_compose(proj, inj), identity_mat(r, field)
-    ):
+    pivots = _rref(e.nonzeros, field)
+    cols = sorted(pivots)
+    r = len(cols)
+    index = {c: k for k, c in enumerate(cols)}
+    inj = Mat.from_nonzeros(e.rows, r, tuple(
+        tuple((index[c], x) for c, x in row if c in index)
+        for row in e.nonzeros), field)
+    proj = Mat.from_nonzeros(r, e.cols, tuple(
+        tuple(sorted(pivots[c].items())) for c in cols), field)
+    if not mat_eq(mat_compose(inj, proj), e):
         raise AssertionError("internal error: splitting equations failed")
+    if not mat_eq(mat_compose(proj, inj), identity_mat(r, field)):
+        ee = mat_compose(e, e)
+        i, j = first_difference(ee, e)
+        raise NotIdempotentError(
+            f"matrix is not idempotent: (E*E)[{i},{j}] = "
+            f"{field.fmt(ee[i, j])} but E[{i},{j}] = {field.fmt(e[i, j])}",
+            witness=(i, j, ee[i, j], e[i, j]),
+        )
     return Splitting(rank=r, inj=inj, proj=proj)

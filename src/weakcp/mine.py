@@ -21,7 +21,10 @@ once per search:
   as soon as a polynomial whose variables are all fixed is nonzero.  The
   survivors are sorted by code.  It refuses with SearchTooLarge when the
   walk tries more than EXHAUSTIVE_CAP = 65,536 assignments, or when the
-  expansion alone would build more composites than that;
+  expansion alone would build more composites than that; it refuses
+  before C is built when a lower bound on the nullity, st(st - s - t) at
+  dims (s,t), already exceeds 256 (dims (3,8), (4,6), (5,5), ...); the
+  messages write p^n, never its digits;
 * a search bounded by ``limit`` and the random search walk the same codes
   as a brute-force search would (``range(limit)``; seeded ``randrange``
   without repeats) and drop each code that fails C before any matrix is
@@ -159,6 +162,15 @@ class _ExchangeLaw:
         """A basis of the solutions (only the exhaustive search needs it)."""
         return nullspace(self.c)
 
+    @functools.cached_property
+    def generators(self) -> list:
+        """The entries of each basis law, row-major: the columns of basis."""
+        gens = [[0] * self.entries for _ in range(self.basis.cols)]
+        for k, row in enumerate(self.basis.nonzeros):
+            for j, x in row:
+                gens[j][k] = x
+        return gens
+
     @property
     def entries(self) -> int:
         """Entries of a candidate."""
@@ -193,12 +205,11 @@ class _ExchangeLaw:
         p, nullity = self.p, self.basis.cols
         if p ** nullity > EXHAUSTIVE_CAP:
             raise SearchTooLarge(
-                f"{p}^{nullity} = {p ** nullity} candidates satisfy the "
-                f"exchange law, more than the cap of {EXHAUSTIVE_CAP}"
+                f"{p}^{nullity} candidates satisfy the exchange law, more "
+                f"than the cap of {EXHAUSTIVE_CAP}"
             )
         vectors = [(0,) * self.entries]
-        for j in range(nullity):
-            gen = self.basis.column(j)
+        for gen in self.generators:
             vectors = [tuple((x + c * g) % p for x, g in zip(v, gen))
                        for v in vectors for c in range(p)]
         codes = []
@@ -255,10 +266,9 @@ def _dl_polynomials(law: _ExchangeLaw, quadratic) -> list:
     and 0 <= i <= j, every c nonzero mod p; a coordinate that is zero for
     every x is left out.
     """
-    mod, basis, ab = law.p, law.basis, law.ab
-    laws = [FMor(law.ba, ab, Mat(ab.dim, law.ba.dim, basis.column(j),
-                                 basis.field))
-            for j in range(basis.cols)]
+    ab, ba, mod = law.ab, law.ba, law.p
+    laws = [FMor(ba, ab, Mat(ab.dim, ba.dim, gen, law.c.field))
+            for gen in law.generators]
     out = []
     for left, q, p in quadratic:
         polys = {}
@@ -281,6 +291,16 @@ def _dl_polynomials(law: _ExchangeLaw, quadratic) -> list:
                     if (reduced := {t: x % mod for t, x in poly.items()
                                     if x % mod})})
     return out
+
+
+def _expansion_guard(p: int, n: int, at_least: str = ""):
+    """SearchTooLarge if expanding DL1 and DL3 over p^n solutions takes
+    more than EXHAUSTIVE_CAP composites per axiom."""
+    if n * n > EXHAUSTIVE_CAP:
+        raise SearchTooLarge(
+            f"{at_least}{p}^{n} candidates satisfy the exchange law, and "
+            f"expanding DL1 and DL3 over them takes {at_least}{n}^2 = "
+            f"{n * n} composites each, more than the cap of {EXHAUSTIVE_CAP}")
 
 
 def _walk(law: _ExchangeLaw, quadratic) -> list:
@@ -308,11 +328,7 @@ def _walk(law: _ExchangeLaw, quadratic) -> list:
     ``low // p`` reaches its top ``spare`` bits (p <= 2**spare).
     """
     p, n = law.p, law.basis.cols
-    if n * n > EXHAUSTIVE_CAP:
-        raise SearchTooLarge(
-            f"{p}^{n} = {p ** n} candidates satisfy the exchange law, and "
-            f"expanding DL1 and DL3 over them takes {n}^2 = {n * n} "
-            f"composites each, more than the cap of {EXHAUSTIVE_CAP}")
+    _expansion_guard(p, n)
 
     def last(poly):
         return max(j for _, j in poly)
@@ -351,7 +367,7 @@ def _walk(law: _ExchangeLaw, quadratic) -> list:
         tries += p
         if tries > EXHAUSTIVE_CAP:
             raise SearchTooLarge(
-                f"{p}^{n} = {p ** n} candidates satisfy the exchange law, "
+                f"{p}^{n} candidates satisfy the exchange law, "
                 "and the walk over them tried more than the cap of "
                 f"{EXHAUSTIVE_CAP} assignments")
         u = 0
@@ -419,15 +435,29 @@ def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:
     return result
 
 
+def _least_nullity(s: int, t: int) -> int:
+    """A lower bound on the nullity of C for monoids of dimensions s and
+    t: the exchange law reads lam only through lam (eta_B (x) A) and
+    lam (B (x) eta_A), so C has rank at most st*s + st*t."""
+    st = s * t
+    return max(0, st * (st - s - t))
+
+
 def mine_wdl(a: MonoidData, b: MonoidData, limit: int | None = None) -> MineResult:
     """All laws among the first ``limit`` codes, or among all codes.
 
     Without a limit the search expands DL1 and DL3 over the solutions of
     the exchange law and walks the expansion (see ``_walk``); it raises
-    SearchTooLarge if the walk tries more than EXHAUSTIVE_CAP assignments.
-    With a limit it walks ``range(limit)`` and skips the codes that fail
-    the exchange law; the full space has p**(dim(A)*dim(B))**2 codes.
+    SearchTooLarge if the walk tries more than EXHAUSTIVE_CAP assignments,
+    or, before the law is solved, if ``_least_nullity`` alone puts the
+    expansion over that cap.  With a limit it walks ``range(limit)`` and
+    skips the codes that fail the exchange law; the full space has
+    p**(dim(A)*dim(B))**2 codes.
     """
+    if limit is None:
+        _expansion_guard(_law_space(a, b)[0].p,
+                         _least_nullity(a.dim, b.dim), "at least ")
+
     def codes(law, quadratic):
         if limit is None:
             return _walk(law, quadratic)

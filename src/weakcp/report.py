@@ -103,8 +103,8 @@ class Report:
 # CLI reports are sorted by this order so output is deterministic no matter
 # how the checks were scheduled.
 LABEL_ORDER = (
-    # monoids and modules
-    "assoc", "unit-left", "unit-right", "module-assoc", "module-unit",
+    # monoids
+    "assoc", "unit-left", "unit-right",
     # quadruple axioms and the idempotent
     "wmeas-wcp", "twis-wcp", "cocy2-wcp", "idemp-sigma-inv", "idem-wcp",
     "nabla-left-linear",

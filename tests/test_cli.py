@@ -138,6 +138,19 @@ def test_mine_wdl_exhaustive_cap(capsys):
                  "--budget", "10"]) == 0
 
 
+@pytest.mark.parametrize("field, dims", [("2", "12,12"), ("3", "8,8")])
+def test_mine_wdl_huge_exhaustive_refused_at_once(field, dims, capsys):
+    """A lower bound on the exchange law's nullity refuses these before
+    the law is solved, and the message writes p^n as a power."""
+    t0 = time.perf_counter()
+    assert main(["mine-wdl", "--field", field, "--dims", dims,
+                 "--exhaustive"]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dims: ")
+    assert len(err) < 300
+
+
 @pytest.mark.parametrize("mode", [[], ["--exhaustive"]],
                          ids=["random", "exhaustive"])
 def test_mine_wdl_negative_budget_exits_2(mode, capsys):

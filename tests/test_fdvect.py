@@ -1,4 +1,4 @@
-"""Tensor words, morphisms, monoids and modules."""
+"""Tensor words, morphisms and monoids."""
 
 import random
 
@@ -13,7 +13,6 @@ from weakcp.fdvect import (
     MonoidData,
     UNIT,
     check_equal,
-    check_left_module,
     check_monoid,
     compose,
     flatten_index,
@@ -22,14 +21,12 @@ from weakcp.fdvect import (
     mor,
     mor_from_map,
     mor_eq,
-    regular_module,
     swap,
     tensor,
-    tensor_obj,
     vobj,
 )
-from weakcp.fields import GF, QQ
-from weakcp.fixtures import cyclic_group_algebra, diagonal_algebra
+from weakcp.fields import QQ
+from weakcp.fixtures import cyclic_group_algebra
 from weakcp.kernel import ShapeError, mat_eq
 
 
@@ -38,7 +35,7 @@ def test_obj_dims_and_unit():
     assert (v @ w).dim == 6
     assert (v @ w).dims == (2, 3)
     assert UNIT.dim == 1
-    assert tensor_obj(v, UNIT, w).dims == (2, 3)
+    assert (v @ UNIT @ w).dims == (2, 3)
     assert (UNIT @ v).factors == v.factors
 
 
@@ -139,19 +136,3 @@ def test_monoid_checks_fail_on_broken_structure():
     assert rep["assoc"].passed is False
     assert rep["assoc"].witness is not None
 
-
-def test_regular_module_passes():
-    m = diagonal_algebra("A", 3, GF(5))
-    rep = check_left_module(regular_module(m))
-    assert rep.ok
-    assert {i.label for i in rep.items} == {"module-assoc", "module-unit"}
-
-
-def test_module_check_detects_bad_action():
-    m = diagonal_algebra("A", 2, QQ)
-    x = vobj("X", 2)
-    bad = mor(m.obj @ x, x, [[0, 1, 0, 0], [0, 0, 0, 1]], QQ)
-    from weakcp.fdvect import ModuleData
-
-    rep = check_left_module(ModuleData(m, x, bad))
-    assert not rep.ok

@@ -26,9 +26,12 @@ from weakcp.kernel import (
     rank,
     solve_right,
     split_idempotent,
-    zero_mat,
 )
 from weakcp.report import Witness
+
+
+def _zero(rows, cols, field):
+    return Mat.from_nonzeros(rows, cols, ((),) * rows, field)
 
 
 def test_compose_basic():
@@ -104,7 +107,7 @@ def test_tensor_compose_interchange(data):
 
 
 def test_rank_examples():
-    assert rank(zero_mat(3, 3, QQ)) == 0
+    assert rank(_zero(3, 3, QQ)) == 0
     assert rank(identity_mat(4, GF(5))) == 4
     assert rank(from_rows([[1, 2], [2, 4]], QQ)) == 1
 
@@ -152,7 +155,7 @@ def test_nullspace_basis(data):
                     random_mat(rng, k, cols, field))
     n = nullspace(m)
     assert n.rows == cols
-    assert mat_eq(mat_compose(m, n), zero_mat(rows, n.cols, field))
+    assert mat_eq(mat_compose(m, n), _zero(rows, n.cols, field))
     assert rank(n) == n.cols
     assert rank(m) + n.cols == cols
 
@@ -160,8 +163,8 @@ def test_nullspace_basis(data):
 def test_split_examples():
     sp = split_idempotent(from_rows([[1, 1], [0, 0]], QQ))
     assert sp.rank == 1
-    assert [list(sp.inj.row(r)) for r in range(2)] == [[1], [0]]
-    assert list(sp.proj.row(0)) == [1, 1]
+    assert sp.inj.entries == (1, 0)
+    assert sp.proj.entries == (1, 1)
 
     sp = split_idempotent(from_rows([[1, 0], [0, 0]], GF(3)))
     assert sp.rank == 1
@@ -173,7 +176,7 @@ def test_split_identity_and_zero():
     for field in FIELDS:
         sp = split_idempotent(identity_mat(3, field))
         assert sp.rank == 3
-        sp = split_idempotent(zero_mat(3, 3, field))
+        sp = split_idempotent(_zero(3, 3, field))
         assert sp.rank == 0
         assert (sp.inj.rows, sp.inj.cols) == (3, 0)
         assert (sp.proj.rows, sp.proj.cols) == (0, 3)
@@ -187,7 +190,7 @@ def test_split_rejects_non_idempotent():
 
 def test_split_rejects_non_square():
     with pytest.raises(NotIdempotentError):
-        split_idempotent(zero_mat(2, 3, QQ))
+        split_idempotent(_zero(2, 3, QQ))
 
 
 def test_split_200_random_idempotents_deterministic():
@@ -208,14 +211,164 @@ def test_split_200_random_idempotents_deterministic():
 PIVOT_FIELDS = FIELDS + (GF(3037000507),)
 
 
+def _dense_rows(m):
+    """The rows of m as lists, zeros included."""
+    e, cols = m.entries, m.cols
+    return [list(e[r * cols : (r + 1) * cols]) for r in range(m.rows)]
+
+
+# Dense Gauss-Jordan elimination, the reference that the sparse reduced
+# echelon routine of the kernel is held to.
+
+def _gauss_jordan(rows, ncols, field):
+    """Eliminate the dense ``rows`` in place on their first ncols columns.
+
+    Row operations act on the whole row (an augmented system may be
+    longer).  Each pivot is the first nonzero of its column at or below
+    the next pivot row, and is cleared from every other row but not
+    scaled to one.  Returns the pivots as (row, col) pairs; they occupy
+    rows 0, 1, ... in order.
+    """
+    pivots = []
+    for col in range(ncols):
+        prow = len(pivots)
+        if prow == len(rows):
+            break
+        pr = next((r for r in range(prow, len(rows)) if rows[r][col]), None)
+        if pr is None:
+            continue
+        rows[prow], rows[pr] = rows[pr], rows[prow]
+        pivot_row = rows[prow]
+        piv = pivot_row[col]
+        for r, row in enumerate(rows):
+            if r != prow and row[col]:
+                factor = field.div(row[col], piv)
+                for c in range(col, len(row)):
+                    row[c] = field.sub(row[c], field.mul(factor, pivot_row[c]))
+        pivots.append((prow, col))
+    return pivots
+
+
+def _oracle_rank(m):
+    return len(_gauss_jordan(_dense_rows(m), m.cols, m.field))
+
+
+def _oracle_solve_right(a, b):
+    """X with a o X = b and its free variables zero, or the smallest
+    column of b outside the column space of a."""
+    field, n = a.field, a.cols
+    rows = [ra + rb for ra, rb in zip(_dense_rows(a), _dense_rows(b))]
+    pivots = _gauss_jordan(rows, n, field)
+    bad = [c for row in rows[len(pivots):] for c in range(b.cols) if row[n + c]]
+    if bad:
+        return min(bad)
+    x = [[field.zero()] * b.cols for _ in range(n)]
+    for r, col in pivots:
+        for c in range(b.cols):
+            x[col][c] = field.div(rows[r][n + c], rows[r][col])
+    return Mat(n, b.cols, tuple(v for row in x for v in row), field)
+
+
+def _oracle_nullspace(m):
+    field = m.field
+    rows = _dense_rows(m)
+    pivots = _gauss_jordan(rows, m.cols, field)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
+        v = [field.zero()] * m.cols
+        v[f] = field.one()
+        for r, c in pivots:
+            if rows[r][f]:
+                v[c] = field.neg(field.div(rows[r][f], rows[r][c]))
+        basis.append(v)
+    return Mat(m.cols, len(basis),
+               tuple(v[i] for i in range(m.cols) for v in basis), field)
+
+
+def _oracle_split(e):
+    """(inj, proj) of a square idempotent e, or the message that
+    split_idempotent raises when e o e != e."""
+    field, n = e.field, e.rows
+    rows = _dense_rows(e)
+    ee = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for t in range(n):
+            for j in range(n):
+                ee[i][j] = field.add(ee[i][j], field.mul(rows[i][t], rows[t][j]))
+    for i in range(n):
+        for j in range(n):
+            if ee[i][j] != rows[i][j]:
+                return (f"matrix is not idempotent: (E*E)[{i},{j}] = "
+                        f"{field.fmt(ee[i][j])} but E[{i},{j}] = "
+                        f"{field.fmt(rows[i][j])}")
+    pivots = _gauss_jordan(rows, n, field)
+    r = len(pivots)
+    inj = Mat(n, r, tuple(e[i, j] for i in range(n) for _, j in pivots), field)
+    proj = Mat(r, n, tuple(field.div(x, rows[i][j])
+                           for i, j in pivots for x in rows[i]), field)
+    return inj, proj
+
+
+def _sparse_operand(data, rng, rows, cols, field):
+    """A rows x cols matrix, often rank-deficient, with some rows and
+    columns zeroed."""
+    k = data.draw(st.integers(0, max(rows, cols)), label="inner")
+    m = _dense_rows(mat_compose(random_mat(rng, rows, k, field),
+                                random_mat(rng, k, cols, field)))
+    zero_rows = data.draw(st.sets(st.integers(0, max(rows - 1, 0))), label="zr")
+    zero_cols = data.draw(st.sets(st.integers(0, max(cols - 1, 0))), label="zc")
+    return Mat(rows, cols, tuple(
+        field.zero() if r in zero_rows or c in zero_cols else x
+        for r, row in enumerate(m) for c, x in enumerate(row)), field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_echelon_readers_match_dense_gauss_jordan(data):
+    field = data.draw(st.sampled_from(PIVOT_FIELDS), label="field")
+    rows, cols = (data.draw(st.integers(0, 6), label=x) for x in "rc")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    m = _sparse_operand(data, rng, rows, cols, field)
+    assert rank(m) == _oracle_rank(m)
+    assert nullspace(m) == _oracle_nullspace(m)
+    b = _sparse_operand(data, rng, rows, data.draw(st.integers(0, 3)), field)
+    if data.draw(st.booleans(), label="consistent"):
+        b = mat_compose(m, _sparse_operand(data, rng, cols, b.cols, field))
+    expected = _oracle_solve_right(m, b)
+    if isinstance(expected, int):
+        with pytest.raises(InconsistentSystemError) as exc:
+            solve_right(m, b)
+        assert exc.value.column == expected
+        assert f"column {expected} " in str(exc.value)
+    else:
+        assert solve_right(m, b) == expected
+    n = min(rows, cols)
+    e = (random_idempotent(rng, n, field) if n and data.draw(st.booleans())
+         else _sparse_operand(data, rng, n, n, field))
+    expected = _oracle_split(e)
+    if isinstance(expected, str):
+        with pytest.raises(NotIdempotentError) as exc:
+            split_idempotent(e)
+        assert str(exc.value) == expected
+    else:
+        sp = split_idempotent(e)
+        assert (sp.inj, sp.proj) == expected
+        assert sp.rank == sp.inj.cols
+
+
 def _columns_outside_earlier_span(m):
     """The columns j of m outside the span of columns 0..j-1, in order."""
     out = []
+    rows = _dense_rows(m)
     for j in range(m.cols):
-        before = Mat(m.rows, j, tuple(x for r in range(m.rows)
-                                      for x in m.row(r)[:j]), m.field)
+        before = Mat(m.rows, j, tuple(x for row in rows for x in row[:j]),
+                     m.field)
         try:
-            solve_right(before, Mat(m.rows, 1, m.column(j), m.field))
+            solve_right(before, Mat(m.rows, 1, tuple(row[j] for row in rows),
+                                    m.field))
         except InconsistentSystemError:
             out.append(j)
     return out

@@ -23,6 +23,7 @@ from weakcp.mine import (
     _dl_polynomials,
     _exchange_law,
     _law_space,
+    _least_nullity,
     _mine,
     _walk,
     _wdl_predicate,
@@ -124,7 +125,7 @@ def test_exhaustive_search_is_capped(monkeypatch):
     assert time.perf_counter() - t0 < 1
     # the walk over the 2^8 solutions at GF(2) (2,2) tries 120 assignments
     monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 119)
-    with pytest.raises(SearchTooLarge, match=r"2\^8 = 256"):
+    with pytest.raises(SearchTooLarge, match=r"2\^8 candidates"):
         mine_wdl(*pair(2, 2, 2))
     monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 120)
     assert mine_wdl(*pair(2, 2, 2)).total == mine.REFERENCE_TOTAL
@@ -140,7 +141,7 @@ def test_expansion_is_capped(monkeypatch):
         mine_wdl(*pair(2, 4, 5))
     assert time.perf_counter() - t0 < 1
     monkeypatch.setattr(mine, "EXHAUSTIVE_CAP", 63)
-    with pytest.raises(SearchTooLarge, match=r"2\^8 = 256 .* 8\^2 = 64"):
+    with pytest.raises(SearchTooLarge, match=r"2\^8 candidates .* 8\^2 = 64"):
         mine_wdl(*pair(2, 2, 2))
 
 
@@ -185,6 +186,22 @@ def test_walk_matches_oracle_on_other_algebras(p, kind_a, kind_b):
     b = ALGEBRAS[kind_b]("T", 2, GF(p))
     _, walk, oracle = _walk_and_oracle(a, b)
     assert walk == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_least_nullity_is_a_lower_bound(data):
+    """The bound that refuses a search before the exchange law is solved
+    never exceeds the law's nullity, whatever the monoids."""
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    s, t = (data.draw(st.integers(1, 3), label=x) for x in "st")
+    kind_a, kind_b = (data.draw(st.sampled_from(sorted(ALGEBRAS)), label=x)
+                      for x in ("A", "B"))
+    a = ALGEBRAS[kind_a]("S", s, GF(p))
+    b = ALGEBRAS[kind_b]("T", t, GF(p))
+    exchange, _ = _wdl_predicate(a, b)
+    law = _exchange_law(*_law_space(a, b), exchange)
+    assert _least_nullity(s, t) <= law.basis.cols
 
 
 @settings(max_examples=60, deadline=None)
