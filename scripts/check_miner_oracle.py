@@ -37,7 +37,7 @@ def main(argv=None):
     a, b = diagonal_algebra("S", s, field), diagonal_algebra("T", t, field)
     fast = summary(mine.mine_wdl(a, b))
     mine.EXHAUSTIVE_CAP = float("inf")
-    reference = summary(mine._mine(a, b, lambda law, quadratic: law.codes()))
+    reference = summary(mine._mine(a, b, lambda law, axioms: law.codes()))
     for name, (counts, laws) in (("walk", fast), ("reference", reference)):
         print(f"{name}: {len(laws)} laws, (total, weak, nondegenerate) = "
               f"{counts}")

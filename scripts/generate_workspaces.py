@@ -11,14 +11,15 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from weakcp.fdvect import tensor
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
+    MonoidPair,
     flip_fixture,
     quantum_plane_triple,
     skew_group_double,
     skew_group_quadruple,
     triple_setup,
-    wdl_preunit,
     wdl_triple_from_law,
 )
 from weakcp.jsonio import (
@@ -62,10 +63,9 @@ def triple_workspace(t, name):
     """A workspace for a LawTriple: laws plus the induced setup."""
     s = triple_setup(t)
     if t.weak:
-        nu_v = wdl_preunit(t.a, t.b, t.l1)
-        nu_w = wdl_preunit(t.a, t.c, t.l3)
+        nu_v = MonoidPair(t.a, t.b).preunit(t.l1)
+        nu_w = MonoidPair(t.a, t.c).preunit(t.l3)
     else:
-        from weakcp.fdvect import tensor
         nu_v = tensor(t.a.unit, t.b.unit)
         nu_w = tensor(t.a.unit, t.c.unit)
     monoids = [encode_monoid(t.a)]
@@ -98,7 +98,6 @@ def triple_workspace(t, name):
 
 def add_wreath(ws, t):
     """Append the wreath datum induced by the first law of a DL triple."""
-    from weakcp.fdvect import tensor
     tau = tensor(t.a.unit, t.b.unit)
     v = tensor(t.a.unit, t.b.mul)
     ws.setdefault("morphisms", []).extend([
@@ -151,7 +150,6 @@ def malformed_workspace():
 
 def idempotents_workspace():
     """Idempotents of the named fixtures, for the split-idempotent command."""
-    from weakcp.fixtures import wdl_nabla
     a, lam = mined_law()
     q = flip_fixture(GF(3), "flip").setup.qv
     return {
@@ -162,7 +160,7 @@ def idempotents_workspace():
     }, {
         "field": GF(2).descriptor(),
         "morphisms": [
-            named("mined-nabla", {"mat": encode_mat(wdl_nabla(a, a, lam).mat)}),
+            named("mined-nabla", {"mat": encode_mat(MonoidPair(a, a).nabla(lam).mat)}),
         ],
     }
 

@@ -41,7 +41,7 @@ from .jsonio import (
     workspace_morphism,
 )
 from .kernel import NotIdempotentError, split_idempotent
-from .mine import SearchTooLarge, mine_wdl, mine_wdl_random
+from .mine import EXHAUSTIVE_CAP, SearchTooLarge, mine_wdl, mine_wdl_random
 from .preunit import check_pre_system
 from .report import Report, ReportItem, sort_by_registry
 from .wcp import (
@@ -262,6 +262,10 @@ def _cmd_mine_wdl(args):
         raise WorkspaceError("expected two integers like 2,2", "--dims")
     if s < 1 or t < 1:
         raise WorkspaceError("dimensions must be positive", "--dims")
+    if (s * t) ** 2 > EXHAUSTIVE_CAP:
+        raise WorkspaceError(
+            f"a law at dims ({s},{t}) has ({s}*{t})^2 = {(s * t) ** 2} "
+            f"entries, more than the cap of {EXHAUSTIVE_CAP}", "--dims")
     if args.budget is not None and args.budget < 0:
         raise WorkspaceError(
             f"must be 0 or more candidates, got {args.budget}", "--budget")

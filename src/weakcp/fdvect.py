@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .kernel import (
     Mat,
@@ -24,7 +25,6 @@ from .kernel import (
     from_rows,
     identity_mat,
     mat_compose,
-    mat_eq,
     mat_tensor,
 )
 from .report import Report, ReportItem, Witness, _unflatten
@@ -175,10 +175,6 @@ def tensor(*fs: FMor) -> FMor:
     return out
 
 
-def mor_eq(f: FMor, g: FMor) -> bool:
-    return f.dom.dim == g.dom.dim and f.cod.dim == g.cod.dim and mat_eq(f.mat, g.mat)
-
-
 def check_equal(label: str, lhs: FMor, rhs: FMor, note: str = "") -> ReportItem:
     """Compare two morphisms entry by entry, producing a witnessed item."""
     if lhs.dom.dim != rhs.dom.dim or lhs.cod.dim != rhs.cod.dim:
@@ -209,7 +205,8 @@ class MonoidData:
     """A finite-dimensional associative unital algebra.
 
     ``mul`` is a map A (x) A -> A and ``unit`` a map K -> A, both exact
-    matrices over the carried field.
+    matrices over the carried field.  ``id``, the identity of A, is built
+    on first use and then kept, so every whisker of this monoid shares it.
     """
 
     name: str
@@ -224,6 +221,10 @@ class MonoidData:
     @property
     def field(self):
         return self.mul.field
+
+    @cached_property
+    def id(self) -> FMor:
+        return identity(self.obj, self.field)
 
 
 def monoid(name: str, dim: int, mul_rows, unit_entries, field) -> MonoidData:
@@ -247,8 +248,7 @@ def monoid_from_structure(name: str, structure, unit_entries, field) -> MonoidDa
 
 def check_monoid(m: MonoidData, prefix: str = "") -> Report:
     """Associativity and the two unit laws, as witnessed checks."""
-    a, mu, eta, field = m.obj, m.mul, m.unit, m.field
-    ida = identity(a, field)
+    mu, eta, ida = m.mul, m.unit, m.id
     rep = Report()
     rep.add(check_equal(
         prefix + "assoc",

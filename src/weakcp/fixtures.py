@@ -11,6 +11,7 @@ the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fdvect import (
     FMor,
@@ -29,6 +30,7 @@ from .fdvect import (
 )
 from .fields import GF, QQ
 from .iterate import IterSetup, iterated_preunit
+from .kernel import mat_eq
 from .report import Report, ReportItem
 from .wcp import Quadruple
 
@@ -38,22 +40,121 @@ from .wcp import Quadruple
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class MonoidPair:
+    """Two monoids A and B, for laws lam : B (x) A -> A (x) B.
+
+    The whiskers that the law axioms compose a law with do not depend on
+    the law, so each is built on first use and then kept: one pair serves
+    every law it checks.  ``products`` is the one table of DL1 and DL3
+    that ``check_distributive_law``, ``check_wdl`` and the miner read.
+    """
+
+    a: MonoidData
+    b: MonoidData
+
+    @cached_property
+    def mua_b(self) -> FMor:  # mu_A (x) B
+        return tensor(self.a.mul, self.b.id)
+
+    @cached_property
+    def a_mub(self) -> FMor:  # A (x) mu_B
+        return tensor(self.a.id, self.b.mul)
+
+    @cached_property
+    def etab_a(self) -> FMor:  # eta_B (x) A
+        return tensor(self.b.unit, self.a.id)
+
+    @cached_property
+    def b_etaa(self) -> FMor:  # B (x) eta_A
+        return tensor(self.b.id, self.a.unit)
+
+    @cached_property
+    def mub_a(self) -> FMor:  # mu_B (x) A
+        return tensor(self.b.mul, self.a.id)
+
+    @cached_property
+    def b_mua(self) -> FMor:  # B (x) mu_A
+        return tensor(self.b.id, self.a.mul)
+
+    @cached_property
+    def products(self) -> tuple:
+        """DL1 and DL3, the two axioms of a distributive law on the
+        products, which a weak distributive law keeps, as
+        ``(label, left, q, p)``: lam satisfies the axiom when
+        ``left(lam) = q(lam) o p(lam)``.  The left side is linear in lam
+        and ``q(lam1) o p(lam2)`` is bilinear, which is what lets the
+        miner expand them.
+
+        DL1: lam (mu_B (x) A) = (A (x) mu_B)(lam (x) B)(B (x) lam);
+        DL3: lam (B (x) mu_A) = (mu_A (x) B)(A (x) lam)(lam (x) A).
+        """
+        ida, idb = self.a.id, self.b.id
+        return (
+            ("DL1",
+             lambda lam: compose(lam, self.mub_a),
+             lambda lam: compose(self.a_mub, tensor(lam, idb)),
+             lambda lam: tensor(idb, lam)),
+            ("DL3",
+             lambda lam: compose(lam, self.b_mua),
+             lambda lam: compose(self.mua_b, tensor(ida, lam)),
+             lambda lam: tensor(lam, ida)),
+        )
+
+    def check_products(self, lam: FMor) -> list:
+        """DL1 and DL3 on lam, as witnessed items."""
+        return [check_equal(label, left(lam), compose(q(lam), p(lam)))
+                for label, left, q, p in self.products]
+
+    def exchange(self, lam: FMor):
+        """The two sides of the exchange law, which ``check-wdl`` labels
+        ``idem=idem``: (A (x) mu_B)(lam(eta_B (x) A) (x) B) on the left
+        and (mu_A (x) B)(A (x) lam(B (x) eta_A)) = ``nabla(lam)`` on the
+        right."""
+        left = compose(self.a_mub,
+                       tensor(compose(lam, self.etab_a), self.b.id))
+        return left, self.nabla(lam)
+
+    def holds(self, lam: FMor) -> bool:
+        """Whether lam satisfies the exchange law, DL1 and DL3: the
+        cheapest comparison first, and no witnesses."""
+        if not mat_eq(*(side.mat for side in self.exchange(lam))):
+            return False
+        return all(mat_eq(left(lam).mat, compose(q(lam), p(lam)).mat)
+                   for _, left, q, p in self.products)
+
+    def nabla(self, lam: FMor) -> FMor:
+        """The idempotent (mu_A (x) B) o (A (x) (lam o (B (x) eta_A)))."""
+        return compose(self.mua_b,
+                       tensor(self.a.id, compose(lam, self.b_etaa)))
+
+    def sigma(self, lam: FMor) -> FMor:
+        """sigma = (A (x) mu_B) o ((lam o (B (x) eta_A)) (x) B)."""
+        return compose(self.a_mub,
+                       tensor(compose(lam, self.b_etaa), self.b.id))
+
+    def preunit(self, lam: FMor) -> FMor:
+        """nu = nabla o (eta_A (x) eta_B)."""
+        return compose(self.nabla(lam), tensor(self.a.unit, self.b.unit))
+
+
 def check_wreath(a: MonoidData, b: MonoidData, lam: FMor, tau: FMor, v: FMor) -> Report:
     """The six wreath axioms for (lam, tau, v) over the monoids a and b.
 
     Here lam : B (x) A -> A (x) B, tau : K -> A (x) B and
     v : B (x) B -> A (x) B.
     """
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    mu = a.mul
-    muab = tensor(mu, idb)
+    pair = MonoidPair(a, b)
+    ida, idb = a.id, b.id
+    muab = pair.mua_b
+    target = tensor(a.unit, idb)
     rep = Report()
     rep.add(check_equal(
         "W1",
         compose(muab, tensor(ida, lam), tensor(lam, ida)),
-        compose(lam, tensor(idb, mu)),
+        compose(lam, pair.b_mua),
     ))
-    rep.add(check_equal("W2", compose(lam, tensor(idb, a.unit)), tensor(a.unit, idb)))
+    rep.add(check_equal("W2", compose(lam, pair.b_etaa), target))
     rep.add(check_equal(
         "W3",
         compose(muab, tensor(ida, tau)),
@@ -71,7 +172,6 @@ def check_wreath(a: MonoidData, b: MonoidData, lam: FMor, tau: FMor, v: FMor) ->
     ))
     left = compose(muab, tensor(ida, v), tensor(tau, idb))
     right = compose(muab, tensor(ida, v), tensor(lam, idb), tensor(idb, tau))
-    target = tensor(a.unit, idb)
     item = check_equal("W6", left, target, note="left half")
     if item.passed:
         item = check_equal("W6", target, right, note="right half")
@@ -81,83 +181,38 @@ def check_wreath(a: MonoidData, b: MonoidData, lam: FMor, tau: FMor, v: FMor) ->
     return rep
 
 
-def _check_dl_products(a: MonoidData, b: MonoidData, lam: FMor):
-    """DL1 and DL3, the two axioms of a distributive law on the products,
-    which a weak distributive law keeps."""
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    dl1 = check_equal(
-        "DL1",
-        compose(lam, tensor(b.mul, ida)),
-        compose(tensor(ida, b.mul), tensor(lam, idb), tensor(idb, lam)),
-    )
-    dl3 = check_equal(
-        "DL3",
-        compose(lam, tensor(idb, a.mul)),
-        compose(tensor(a.mul, idb), tensor(ida, lam), tensor(lam, ida)),
-    )
-    return [dl1, dl3]
-
-
 def check_distributive_law(a: MonoidData, b: MonoidData, lam: FMor) -> Report:
     """The four axioms of a distributive law lam : B (x) A -> A (x) B."""
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    dl1, dl3 = _check_dl_products(a, b, lam)
+    pair = MonoidPair(a, b)
+    dl1, dl3 = pair.check_products(lam)
     rep = Report()
     rep.add(dl1)
-    rep.add(check_equal("DL2", compose(lam, tensor(b.unit, ida)), tensor(ida, b.unit)))
+    rep.add(check_equal("DL2", compose(lam, pair.etab_a), tensor(a.id, b.unit)))
     rep.add(dl3)
-    rep.add(check_equal("DL4", compose(lam, tensor(idb, a.unit)), tensor(a.unit, idb)))
+    rep.add(check_equal("DL4", compose(lam, pair.b_etaa), tensor(a.unit, b.id)))
     return rep
 
 
-def wdl_nabla(a: MonoidData, b: MonoidData, lam: FMor) -> FMor:
-    """The idempotent (mu (x) B) o (A (x) (lam o (B (x) eta)))."""
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    return compose(
-        tensor(a.mul, idb),
-        tensor(ida, compose(lam, tensor(idb, a.unit))),
-    )
-
-
-def wdl_sigma(a: MonoidData, b: MonoidData, lam: FMor) -> FMor:
-    """sigma = (A (x) mu_B) o ((lam o (B (x) eta_A)) (x) B)."""
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    return compose(
-        tensor(ida, b.mul),
-        tensor(compose(lam, tensor(idb, a.unit)), idb),
-    )
-
-
-def wdl_preunit(a: MonoidData, b: MonoidData, lam: FMor) -> FMor:
-    """nu = nabla o (eta_A (x) eta_B)."""
-    return compose(wdl_nabla(a, b, lam), tensor(a.unit, b.unit))
-
-
 def check_wdl(a: MonoidData, b: MonoidData, lam: FMor) -> Report:
-    """Axioms of a weak distributive law: DL1, DL3 and the exchange law.
+    """Axioms of a weak distributive law: DL1, DL3 and the exchange law
+    (``idem=idem``).
 
     The two unit-replacement identities are checked as well; they are
     equivalent to the exchange law, so all three are reported.
     """
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    rep = Report(_check_dl_products(a, b, lam))
-    rep.add(check_equal(
-        "idem=idem",
-        compose(tensor(ida, b.mul),
-                tensor(compose(lam, tensor(b.unit, ida)), idb)),
-        compose(tensor(a.mul, idb),
-                tensor(ida, compose(lam, tensor(idb, a.unit)))),
-    ))
+    pair = MonoidPair(a, b)
+    rep = Report(pair.check_products(lam))
+    rep.add(check_equal("idem=idem", *pair.exchange(lam)))
     corner = compose(lam, tensor(b.unit, a.unit))
     rep.add(check_equal(
         "WDL1",
-        compose(lam, tensor(b.unit, ida)),
-        compose(tensor(a.mul, idb), tensor(ida, corner)),
+        compose(lam, pair.etab_a),
+        compose(pair.mua_b, tensor(a.id, corner)),
     ))
     rep.add(check_equal(
         "WDL2",
-        compose(lam, tensor(idb, a.unit)),
-        compose(tensor(ida, b.mul), tensor(corner, idb)),
+        compose(lam, pair.b_etaa),
+        compose(pair.a_mub, tensor(corner, b.id)),
     ))
     return rep
 
@@ -169,9 +224,10 @@ def check_wdl_derived(a: MonoidData, b: MonoidData, lam: FMor) -> Report:
     either in the axioms checker or in the constructions that rely on
     these identities, so they are regression-tested on every fixture.
     """
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    nab = wdl_nabla(a, b, lam)
-    sig = wdl_sigma(a, b, lam)
+    pair = MonoidPair(a, b)
+    ida, idb = a.id, b.id
+    nab = pair.nabla(lam)
+    sig = pair.sigma(lam)
     rep = Report()
     mid = compose(nab, tensor(a.unit, b.mul))
     item = check_equal("equ-idem", sig, mid, note="first equality")
@@ -185,27 +241,22 @@ def check_wdl_derived(a: MonoidData, b: MonoidData, lam: FMor) -> Report:
     rep.add(item)
     rep.add(check_equal(
         "new-nabla",
-        compose(tensor(ida, b.mul), tensor(lam, idb), tensor(idb, nab)),
-        compose(tensor(ida, b.mul), tensor(lam, idb)),
+        compose(pair.a_mub, tensor(lam, idb), tensor(idb, nab)),
+        compose(pair.a_mub, tensor(lam, idb)),
     ))
     rep.add(check_equal(
         "tech2",
-        compose(tensor(a.mul, idb), tensor(ida, lam), tensor(nab, ida)),
-        compose(tensor(a.mul, idb), tensor(ida, lam)),
+        compose(pair.mua_b, tensor(ida, lam), tensor(nab, ida)),
+        compose(pair.mua_b, tensor(ida, lam)),
     ))
-    rep.add(check_equal(
-        "tech3",
-        compose(tensor(ida, b.mul),
-                tensor(compose(lam, tensor(idb, a.unit)), idb)),
-        compose(lam, tensor(b.mul, a.unit)),
-    ))
+    rep.add(check_equal("tech3", sig, compose(lam, tensor(b.mul, a.unit))))
     return rep
 
 
 def quadruple_from_wdl(a: MonoidData, b: MonoidData, lam: FMor) -> Quadruple:
     """The quadruple (A, B, lam, sigma) induced by a weak distributive law."""
     psi = FMor(b.obj @ a.obj, a.obj @ b.obj, lam.mat)
-    sig = wdl_sigma(a, b, lam)
+    sig = MonoidPair(a, b).sigma(lam)
     return Quadruple(a, b.obj, psi, FMor(b.obj @ b.obj, a.obj @ b.obj, sig.mat))
 
 
@@ -220,9 +271,7 @@ def check_yang_baxter(a: MonoidData, b: MonoidData, c: MonoidData,
                       l1: FMor, l2: FMor, l3: FMor) -> ReportItem:
     """The hexagon relation for l1 : B(x)A -> A(x)B, l2 : C(x)B -> B(x)C,
     l3 : C(x)A -> A(x)C."""
-    ida = identity(a.obj, a.field)
-    idb = identity(b.obj, b.field)
-    idc = identity(c.obj, c.field)
+    ida, idb, idc = a.id, b.id, c.id
     return check_equal(
         "YB-Comp",
         compose(tensor(ida, l2), tensor(l3, idb), tensor(idc, l1)),
@@ -254,7 +303,7 @@ def triple_setup(t: LawTriple) -> IterSetup:
     qw = (quadruple_from_wdl if t.weak else quadruple_from_dl)(t.a, t.c, t.l3)
     bc = t.b.obj @ t.c.obj
     if t.weak:
-        delta = FMor(bc, bc, wdl_nabla(t.b, t.c, t.l2).mat)
+        delta = FMor(bc, bc, MonoidPair(t.b, t.c).nabla(t.l2).mat)
     else:
         delta = identity(bc, t.a.field)
     tau = FMor(t.c.obj @ t.b.obj, bc, t.l2.mat)
@@ -268,16 +317,15 @@ def check_triple_formulas(t: LawTriple) -> Report:
     with their advertised closed forms in terms of l1, l2, l3.
     """
     a, b, c = t.a, t.b, t.c
-    ida = identity(a.obj, a.field)
-    idb = identity(b.obj, b.field)
-    idc = identity(c.obj, c.field)
+    ida, idb, idc = a.id, b.id, c.id
     s = triple_setup(t)
     qvw = s.qvw
     rep = Report()
     rep.add(check_yang_baxter(a, b, c, t.l1, t.l2, t.l3))
 
     if t.weak:
-        nab_bc = wdl_nabla(b, c, t.l2)
+        ab = MonoidPair(a, b)
+        nab_bc = MonoidPair(b, c).nabla(t.l2)
         psi_closed = compose(tensor(t.l1, idc), tensor(idb, t.l3),
                              tensor(nab_bc, ida))
         sigma_closed = compose(
@@ -285,7 +333,7 @@ def check_triple_formulas(t: LawTriple) -> Report:
             tensor(b.mul, t.l3, idc),
             tensor(idb, t.l2, a.unit, idc),
         )
-        nab_ab = wdl_nabla(a, b, t.l1)
+        nab_ab = ab.nabla(t.l1)
         mu_closed = compose(
             tensor(a.mul, b.mul, c.mul),
             tensor(ida, compose(
@@ -294,8 +342,8 @@ def check_triple_formulas(t: LawTriple) -> Report:
                 tensor(nab_bc, nab_ab),
             ), idc),
         )
-        nu_v = wdl_preunit(a, b, t.l1)
-        nu_w = wdl_preunit(a, c, t.l3)
+        nu_v = ab.preunit(t.l1)
+        nu_w = MonoidPair(a, c).preunit(t.l3)
         nu_closed = compose(
             tensor(t.l1, idc), tensor(idb, t.l3), tensor(t.l2, ida),
             tensor(c.unit, b.unit, a.unit),
@@ -344,7 +392,7 @@ def check_brzezinski(q: Quadruple, eta_v: FMor) -> Report:
     eta_v : K -> V is the distinguished element; when these hold the
     idempotent is the identity and eta_A (x) eta_V is a genuine unit.
     """
-    ida, idv = q.ids()
+    ida, idv = q.monoid.id, q.idv
     rep = Report()
     rep.add(check_equal(
         "brz1", compose(q.psi, tensor(eta_v, ida)), tensor(ida, eta_v)
@@ -382,7 +430,6 @@ def check_dp(s: IterSetup, eta_v: FMor, eta_w: FMor) -> Report:
     tau = s.tau
     psi_v, psi_w = s.qv.psi, s.qw.psi
     sig_v, sig_w = s.qv.sigma, s.qw.sigma
-    mu = s.qv.monoid.mul
     rep = Report()
     rep.add(check_equal(
         "DP1",
@@ -403,14 +450,14 @@ def check_dp(s: IterSetup, eta_v: FMor, eta_w: FMor) -> Report:
     ))
 
     lhs = compose(
-        tensor(mu, idv, idw),
+        s.muvw,
         tensor(ida, sig_v, idw),
         tensor(psi_v, tau),
         tensor(idv, sig_w, idv),
         tensor(tau, idw, idv),
     )
     rhs = compose(
-        tensor(mu, idv, idw),
+        s.muvw,
         tensor(ida, psi_v, idw),
         tensor(ida, idv, sig_w),
         tensor(ida, tau, idw),
@@ -587,7 +634,7 @@ def trivial_quadruple(a: MonoidData, vname: str = "K") -> Quadruple:
     the unit of A, so the crossed product of A with this V is A itself.
     """
     v = vobj(vname, 1)
-    psi = FMor(v @ a.obj, a.obj @ v, identity(a.obj, a.field).mat)
+    psi = FMor(v @ a.obj, a.obj @ v, a.id.mat)
     sigma = FMor(v @ v, a.obj @ v, a.unit.mat)
     return Quadruple(a, v, psi, sigma)
 
@@ -603,7 +650,7 @@ def trivial_extension(q: Quadruple, vname: str = "K") -> IterSetup:
     field = q.field
     vk = q.v @ qt.v
     delta = identity(vk, field)
-    tau = FMor(qt.v @ q.v, vk, identity(q.v, field).mat)
+    tau = FMor(qt.v @ q.v, vk, q.idv.mat)
     return IterSetup(q, qt, delta, tau)
 
 

@@ -40,20 +40,20 @@ from .wcp import build_crossed_product, require
 def check_newit(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     """The three extra identities that make the two-stage product work."""
     ida, idv, idw = s.ids()
-    mu = s.qv.monoid.mul
+    muv = s.qv.muv
     psi_v, psi_w = s.qv.psi, s.qw.psi
     sig_v, sig_w = s.qv.sigma, s.qw.sigma
     nab = s.qvw.nabla
     rep = Report()
-    inner1 = compose(tensor(mu, idv), tensor(ida, psi_v), tensor(sig_v, ida))
-    inner2 = compose(tensor(mu, idv), tensor(ida, sig_v))
+    inner1 = compose(muv, tensor(ida, psi_v), tensor(sig_v, ida))
+    inner2 = compose(muv, tensor(ida, sig_v))
     rep.add(check_equal(
         "new-it-1",
         compose(nab, tensor(inner1, idw), tensor(idv, idv, nu_w)),
         compose(nab, tensor(inner2, idw), tensor(psi_v, s.tau),
                 tensor(idv, nu_w, idv)),
     ))
-    inner3 = compose(tensor(mu, idv), tensor(ida, psi_v))
+    inner3 = compose(muv, tensor(ida, psi_v))
     rep.add(check_equal(
         "new-it-2",
         compose(nab, tensor(sig_v, idw)),
@@ -99,8 +99,7 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     A x (V (x) W) and the two sides of equal dimension.
     """
     field = s.field
-    ida, idv, idw = s.ids()
-    mu = s.qv.monoid.mul
+    ida, _, idw = s.ids()
 
     qvw, _ = build_iterated(s)
     nu_vw, _ = iterated_preunit(s, nu_v, nu_w)
@@ -114,7 +113,7 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     # the embeddings and the restricted idempotent
     i_axv = compose(
         cp_vw.proj,
-        tensor(mu, idv, idw),
+        s.muvw,
         tensor(ida, s.qv.psi, idw),
         tensor(cp_v.inj, nu_w),
     )
@@ -139,7 +138,7 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     rep.add(check_equal(
         "nabla-axvw-linear",
         compose(nab_small, mul_w),
-        compose(mul_w, tensor(identity(cp_v.obj, field), nab_small)),
+        compose(mul_w, tensor(ucp_v.monoid.id, nab_small)),
     ))
     require(rep, "embedding verification failed")
 
@@ -154,8 +153,7 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     omega_inv = compose(proj, proj_w, cp_vw.inj)
     omega_inv = FMor(cp_vw.obj, outer_obj, omega_inv.mat)
     rep.add(check_equal(
-        "omega-right-inv", compose(omega, omega_inv),
-        identity(cp_vw.obj, field),
+        "omega-right-inv", compose(omega, omega_inv), ucp_vw.monoid.id,
     ))
     rep.add(check_equal(
         "omega-left-inv", compose(omega_inv, omega),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fdvect import FMor, check_equal, compose, identity, tensor
+from .fdvect import FMor, check_equal, compose, tensor
 from .preunit import check_pre_system, check_preunit_axioms
 from .report import Report
 from .wcp import PreconditionError, Quadruple, check_quadruple, require
@@ -23,8 +23,9 @@ from .wcp import PreconditionError, Quadruple, check_quadruple, require
 class IterSetup:
     """Two quadruples over one monoid, with link and twisting morphisms.
 
-    ``qvw``, the combined quadruple on V (x) W, is built on first use and
-    then kept; its ``psi``, ``sigma``, ``nabla`` and ``product`` are the
+    ``qvw``, the combined quadruple on V (x) W, and the whisker
+    ``muvw`` = mu (x) V (x) W are built on first use and then kept; the
+    ``psi``, ``sigma``, ``nabla`` and ``product`` of ``qvw`` are the
     combined structure maps.
     """
 
@@ -49,12 +50,13 @@ class IterSetup:
         return self.qv.field
 
     def ids(self):
-        f = self.field
-        return (
-            identity(self.qv.a, f),
-            identity(self.qv.v, f),
-            identity(self.qw.v, f),
-        )
+        """(id_A, id_V, id_W), as their owners keep them."""
+        return self.qv.monoid.id, self.qv.idv, self.qw.idv
+
+    @cached_property
+    def muvw(self) -> FMor:
+        """mu (x) V (x) W : A (x) A (x) V (x) W -> A (x) V (x) W."""
+        return tensor(self.qv.muv, self.qw.idv)
 
     @cached_property
     def qvw(self) -> Quadruple:
@@ -67,7 +69,7 @@ class IterSetup:
         qv, qw = self.qv, self.qw
         psi = compose(tensor(qv.psi, idw), tensor(idv, qw.psi), tensor(self.delta, ida))
         sigma = compose(
-            tensor(qv.monoid.mul, idv, idw),
+            self.muvw,
             tensor(ida, qv.psi, idw),
             tensor(qv.sigma, qw.sigma),
             tensor(idv, self.tau, idw),
@@ -106,7 +108,6 @@ def check_link(s: IterSetup) -> Report:
 def check_twisting(s: IterSetup) -> Report:
     """The two defining conditions for the twisting morphism tau."""
     ida, idv, idw = s.ids()
-    mu = s.qv.monoid.mul
     psi_v, psi_w = s.qv.psi, s.qw.psi
     sig_v, sig_w = s.qv.sigma, s.qw.sigma
     rep = Report()
@@ -118,14 +119,14 @@ def check_twisting(s: IterSetup) -> Report:
     rep.add(check_equal(
         "twisting-ii",
         compose(
-            tensor(mu, idv, idw),
+            s.muvw,
             tensor(ida, sig_v, idw),
             tensor(psi_v, s.tau),
             tensor(idv, sig_w, idv),
             tensor(s.tau, idw, idv),
         ),
         compose(
-            tensor(mu, idv, idw),
+            s.muvw,
             tensor(ida, psi_v, idw),
             tensor(ida, idv, sig_w),
             tensor(ida, s.tau, idw),
@@ -139,9 +140,8 @@ def check_twisting(s: IterSetup) -> Report:
 
 def check_sigma_conditions(s: IterSetup) -> Report:
     """Compatibility of the combined sigma with the link morphism."""
-    sig = s.qvw.sigma
-    ida, idv, idw = s.ids()
-    idvw = tensor(idv, idw)
+    sig, idvw = s.qvw.sigma, s.qvw.idv
+    ida = s.qv.monoid.id
     rep = Report()
     rep.add(check_equal("sigma1", sig, compose(sig, tensor(s.delta, idvw))))
     rep.add(check_equal("sigma2", sig, compose(sig, tensor(idvw, s.delta))))
@@ -177,13 +177,12 @@ def build_iterated(s: IterSetup):
 def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     """The two extra equations needed to combine the two preunits."""
     ida, idv, idw = s.ids()
-    mu = s.qv.monoid.mul
     target = compose(s.qvw.nabla, tensor(s.qv.monoid.unit, idv, idw))
     rep = Report()
     rep.add(check_equal(
         "pre-1",
         compose(
-            tensor(mu, idv, idw),
+            s.muvw,
             tensor(ida, s.qv.sigma, idw),
             tensor(s.qv.psi, s.tau),
             tensor(idv, s.qw.psi, idv),
@@ -194,7 +193,7 @@ def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> R
     rep.add(check_equal(
         "pre-2",
         compose(
-            tensor(mu, idv, idw),
+            s.muvw,
             tensor(ida, s.qv.psi, idw),
             tensor(ida, idv, s.qw.sigma),
             tensor(ida, s.tau, idw),
@@ -221,11 +220,11 @@ def iterated_preunit(s: IterSetup, nu_v: FMor, nu_w: FMor):
             )
     rep = require(check_iterated_preunit_hypotheses(s, nu_v, nu_w),
                   "iterated preunit hypotheses fail")
-    ida, idv, idw = s.ids()
+    ida, _, idw = s.ids()
     qvw = s.qvw
     raw = compose(
         qvw.nabla,
-        tensor(qvw.monoid.mul, idv, idw),
+        s.muvw,
         tensor(ida, s.qv.psi, idw),
         tensor(nu_v, nu_w),
     )

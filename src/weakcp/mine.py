@@ -6,15 +6,20 @@ candidate ``code`` is ``(code // p**k) % p``, and every search inspects
 codes in a fixed order, so results are reproducible; the counts of the
 reference search are frozen below as regression values.
 
-The first axiom, the exchange law
-``(A (x) mu_B)(lam(eta_B (x) A) (x) B) = (mu_A (x) B)(A (x) lam(B (x) eta_A))``,
+The miner reads the axioms from the same table as ``check-wdl``:
+``fixtures.MonoidPair`` of the two monoids, which holds the exchange law
+(``check-wdl``'s ``idem=idem``) and DL1 and DL3 under ``check-wdl``'s
+labels.  The exchange law
+``(A (x) mu_B)(lam(eta_B (x) A) (x) B) = (mu_A (x) B)(A (x) lam(B (x) eta_A))``
 is linear in lam.  The miner evaluates both of its sides once on each
 elementary candidate (one entry 1, the rest 0).  That gives a constraint
 matrix C with C vec(lam) = 0 exactly when lam satisfies the law, built
 once per search:
 
 * the exhaustive search (``mine_wdl`` without a limit) works inside the
-  p**nullity(C) solutions.  The other two axioms, DL1 and DL3, are
+  p**nullity(C) solutions.  The other two axioms,
+  DL1 ``lam (mu_B (x) A) = (A (x) mu_B)(lam (x) B)(B (x) lam)`` and
+  DL3 ``lam (B (x) mu_A) = (mu_A (x) B)(A (x) lam)(lam (x) A)``, are
   quadratic in the coordinates x of a solution in the null-space basis;
   they are expanded once, into one polynomial per coordinate of their
   defect, and a depth-first walk fixes x_0, x_1, ... and prunes a branch
@@ -33,14 +38,14 @@ once per search:
   ``p**k`` computed once per search; the first failing row ends it.
 
 Every code that passes C, or survives the walk, still goes through
-``law_from_code`` and the full axiom check, exchange law included.  The
-whiskers of the monoid structure that the axioms compose with
-(``eta_B (x) A``, ``B (x) eta_A``, ``B (x) mu_A``, ``mu_B (x) A``,
-``mu_A (x) B`` and ``A (x) mu_B``) do not depend on the candidate and are
-built once per search, for the expansion and the full check alike.  The
-laws are classified by the rank of the induced idempotent; a law whose
-idempotent is neither zero nor the identity yields a genuinely weak
-crossed product.
+``law_from_code`` and the full axiom check, exchange law included
+(``MonoidPair.holds``).  The whiskers of the monoid structure that the
+axioms compose with (``eta_B (x) A``, ``B (x) eta_A``, ``B (x) mu_A``,
+``mu_B (x) A``, ``mu_A (x) B`` and ``A (x) mu_B``) do not depend on the
+candidate; the search's one pair builds each of them once, for the
+expansion and the full check alike.  The laws are classified by the rank
+of the induced idempotent; a law whose idempotent is neither zero nor
+the identity yields a genuinely weak crossed product.
 On the diagonal algebras the nullity is 8 at dims (2,2) (256 solutions
 of 2**16 over GF(2), 6,561 of 3**16 over GF(3)), 18 at (2,3) and 45 at
 (3,3).  The walk tries 120 assignments at GF(2) (2,2), 2,486 at GF(2)
@@ -54,9 +59,9 @@ import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .fdvect import FMor, FObj, MonoidData, compose, identity, tensor
+from .fdvect import FMor, FObj, MonoidData
 from .fields import GF, PrimeField
-from .fixtures import check_yang_baxter, diagonal_algebra, wdl_nabla
+from .fixtures import MonoidPair, check_yang_baxter, diagonal_algebra
 from .kernel import Mat, identity_mat, mat_compose, mat_eq, nullspace, rank
 
 # most assignments the walk of an exhaustive search tries, and most
@@ -86,56 +91,6 @@ class MineResult:
     weak: int = 0  # of those, idempotent != identity
     nondegenerate: int = 0  # idempotent neither identity nor zero
     laws: list = dc_field(default_factory=list)
-
-
-def _wdl_predicate(a: MonoidData, b: MonoidData):
-    """(exchange, accept): the two sides of the exchange law as a function
-    of a candidate, and a closure testing all the weak-distributive-law
-    axioms on one candidate.
-
-    ``accept.quadratic`` holds DL1 and DL3 as ``(left, q, p)`` triples:
-    the axiom holds for lam when ``left(lam) = q(lam) o p(lam)``.  The
-    left side is linear in lam and the right side ``q(lam1) o p(lam2)`` is
-    bilinear, which is what lets the exhaustive search expand them.
-
-    Conditions are ordered so that the cheapest comparisons run first;
-    most candidates die on the exchange law before the quadratic axioms
-    are evaluated.
-    """
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    mu_ab = tensor(a.mul, idb)
-    amu_b = tensor(ida, b.mul)
-    # eta_B (x) A, B (x) eta_A, B (x) mu_A and mu_B (x) A, which do not
-    # depend on the candidate either
-    eta_ba = tensor(b.unit, ida)
-    beta_a = tensor(idb, a.unit)
-    bmu_a = tensor(idb, a.mul)
-    mu_ba = tensor(b.mul, ida)
-
-    def exchange(lam: FMor):
-        left = compose(amu_b, tensor(compose(lam, eta_ba), idb))
-        right = compose(mu_ab, tensor(ida, compose(lam, beta_a)))
-        return left.mat, right.mat
-
-    quadratic = (
-        # DL1: lam (B (x) mu_A) = (mu_A (x) B)(A (x) lam)(lam (x) A)
-        (lambda lam: compose(lam, bmu_a),
-         lambda lam: compose(mu_ab, tensor(ida, lam)),
-         lambda lam: tensor(lam, ida)),
-        # DL3: lam (mu_B (x) A) = (A (x) mu_B)(lam (x) B)(B (x) lam)
-        (lambda lam: compose(lam, mu_ba),
-         lambda lam: compose(amu_b, tensor(lam, idb)),
-         lambda lam: tensor(idb, lam)),
-    )
-
-    def accept(lam: FMor) -> bool:
-        if not mat_eq(*exchange(lam)):
-            return False
-        return all(mat_eq(left(lam).mat, compose(q(lam), p(lam)).mat)
-                   for left, q, p in quadratic)
-
-    accept.quadratic = quadratic
-    return exchange, accept
 
 
 def _law_space(a: MonoidData, b: MonoidData):
@@ -221,19 +176,20 @@ class _ExchangeLaw:
         return sorted(codes)
 
 
-def _exchange_law(f: PrimeField, ba, ab, exchange) -> _ExchangeLaw:
+def _exchange_law(pair: MonoidPair) -> _ExchangeLaw:
     """Solve the exchange law once: column k of C is left - right, the
-    defect of ``exchange`` on the candidate whose only nonzero entry is a
-    1 at entry k.  Both sides are linear in the candidate, so the defect of
-    any candidate is C times its entries."""
+    defect of ``pair.exchange`` on the candidate whose only nonzero entry
+    is a 1 at entry k.  Both sides are linear in the candidate, so the
+    defect of any candidate is C times its entries."""
+    f, ba, ab = _law_space(pair.a, pair.b)
     p, n = f.p, ba.dim * ab.dim
     crows = {}  # row of C (a flat index of the defect) -> [(k, C[r, k]), ...]
     for k in range(n):
         i, j = divmod(k, ba.dim)
         unit = [()] * ab.dim
         unit[i] = ((j, 1),)
-        left, right = exchange(
-            FMor(ba, ab, Mat.from_nonzeros(ab.dim, ba.dim, tuple(unit), f)))
+        left, right = (side.mat for side in pair.exchange(
+            FMor(ba, ab, Mat.from_nonzeros(ab.dim, ba.dim, tuple(unit), f))))
         for r, (lrow, rrow) in enumerate(zip(left.nonzeros, right.nonzeros)):
             if lrow == rrow:
                 continue
@@ -252,9 +208,10 @@ def _exchange_law(f: PrimeField, ba, ab, exchange) -> _ExchangeLaw:
         tuple((p ** k, x) for k, x in row) for row in sorted(rows)))
 
 
-def _dl_polynomials(law: _ExchangeLaw, quadratic) -> list:
+def _dl_polynomials(law: _ExchangeLaw, axioms) -> list:
     """DL1 and DL3 as polynomials in the coordinates x of the exchange
-    law's solutions, one dict per axiom of ``quadratic``.
+    law's solutions, one dict per ``(label, left, q, p)`` of ``axioms``
+    (``MonoidPair.products``).
 
     A solution is lam = sum_i x_i b_i over the basis laws b_i.  The left
     side of an axiom is linear in lam and its right side bilinear, so the
@@ -270,7 +227,7 @@ def _dl_polynomials(law: _ExchangeLaw, quadratic) -> list:
     laws = [FMor(ba, ab, Mat(ab.dim, ba.dim, gen, law.c.field))
             for gen in law.generators]
     out = []
-    for left, q, p in quadratic:
+    for _, left, q, p in axioms:
         polys = {}
 
         def add(m, term, sign):
@@ -303,7 +260,7 @@ def _expansion_guard(p: int, n: int, at_least: str = ""):
             f"{n * n} composites each, more than the cap of {EXHAUSTIVE_CAP}")
 
 
-def _walk(law: _ExchangeLaw, quadratic) -> list:
+def _walk(law: _ExchangeLaw, axioms) -> list:
     """The codes of the exchange law's solutions that satisfy DL1 and DL3,
     ascending.
 
@@ -333,7 +290,7 @@ def _walk(law: _ExchangeLaw, quadratic) -> list:
     def last(poly):
         return max(j for _, j in poly)
 
-    polys = sorted((poly for axiom in _dl_polynomials(law, quadratic)
+    polys = sorted((poly for axiom in _dl_polynomials(law, axioms)
                     for poly in axiom.values()), key=last)
     spare = (p - 1).bit_length()
     width = (max(map(sum, map(dict.values, polys)), default=0)
@@ -403,20 +360,20 @@ def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
 def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:
     """Keep and classify the laws among the inspected candidates.
 
-    ``codes`` maps the pair's exchange law and its quadratic axioms
-    (``accept.quadratic`` of ``_wdl_predicate``) to the codes of the
-    candidates to inspect, in order; each must satisfy the exchange law,
-    and the full axiom check re-verifies it.
+    ``codes`` maps the pair's exchange law and its table of DL1 and DL3
+    (``MonoidPair.products``) to the codes of the candidates to inspect,
+    in order; each must satisfy the exchange law, and the full axiom
+    check ``MonoidPair.holds`` re-verifies it.
     """
-    f, ba, ab = _law_space(a, b)
-    exchange, accept = _wdl_predicate(a, b)
+    f, _, ab = _law_space(a, b)
+    pair = MonoidPair(a, b)
     idmat = identity_mat(ab.dim, f)
     result = MineResult()
-    for code in codes(_exchange_law(f, ba, ab, exchange), accept.quadratic):
+    for code in codes(_exchange_law(pair), pair.products):
         lam = law_from_code(a, b, code)
-        if not accept(lam):
+        if not pair.holds(lam):
             continue
-        nab = wdl_nabla(a, b, lam)
+        nab = pair.nabla(lam)
         info = MinedLaw(
             code=code,
             law=lam,
@@ -458,9 +415,9 @@ def mine_wdl(a: MonoidData, b: MonoidData, limit: int | None = None) -> MineResu
         _expansion_guard(_law_space(a, b)[0].p,
                          _least_nullity(a.dim, b.dim), "at least ")
 
-    def codes(law, quadratic):
+    def codes(law, axioms):
         if limit is None:
-            return _walk(law, quadratic)
+            return _walk(law, axioms)
         return filter(law.holds, range(min(law.space, limit)))
 
     return _mine(a, b, codes)
@@ -468,7 +425,7 @@ def mine_wdl(a: MonoidData, b: MonoidData, limit: int | None = None) -> MineResu
 
 def mine_wdl_random(a: MonoidData, b: MonoidData, seed: int, tries: int) -> MineResult:
     """Seeded random search for laws in spaces too large to enumerate."""
-    def codes(law, quadratic):
+    def codes(law, axioms):
         rng = random.Random(seed)
         space = law.space
         seen = set()

@@ -27,9 +27,7 @@ from .wcp import CrossedProduct, PreconditionError, Quadruple, require
 
 def beta_nu(q: Quadruple, nu: FMor) -> FMor:
     """beta = (mu (x) V) o (A (x) nu) : A -> A (x) V."""
-    _, idv = q.ids()
-    ida = identity(q.a, q.field)
-    return compose(tensor(q.monoid.mul, idv), tensor(ida, nu))
+    return compose(q.muv, tensor(q.monoid.id, nu))
 
 
 def nabla_nu(m: FMor, nu: FMor) -> FMor:
@@ -58,9 +56,7 @@ def check_preunit_axioms(m: FMor, nu: FMor, label: str = "preunit") -> ReportIte
 
 def check_pre_system(q: Quadruple, nu: FMor) -> Report:
     """The three compatibility equations tying nu to (psi, sigma)."""
-    ida, idv = q.ids()
-    mu = q.monoid.mul
-    muv = tensor(mu, idv)
+    ida, idv, muv = q.monoid.id, q.idv, q.muv
     nab = q.nabla
     target = compose(nab, tensor(q.monoid.unit, idv))
     rep = Report()
@@ -110,7 +106,7 @@ def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
 
     rep.add(check_preunit_axioms(q.product, nu))
     rep.add(check_equal("nu-nabla", nabla_nu(q.product, nu), q.nabla))
-    idx = identity(cp.obj, q.field)
+    idx = axv.id
     rep.add(check_equal(
         "product-unit-left", compose(cp.mul, tensor(unit, idx)), idx
     ))
@@ -118,7 +114,6 @@ def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
         "product-unit-right", compose(cp.mul, tensor(idx, unit)), idx
     ))
 
-    ida, idv = q.ids()
     beta = beta_nu(q, nu)
     rep.add(check_equal("beta-eta", compose(beta, q.monoid.unit), nu))
     rep.add(check_equal(
@@ -129,7 +124,7 @@ def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
     rep.add(check_equal(
         "beta-linear",
         compose(beta, q.monoid.mul),
-        compose(tensor(q.monoid.mul, idv), tensor(ida, beta)),
+        compose(q.muv, tensor(q.monoid.id, beta)),
     ))
     beta_bar = compose(cp.proj, beta)
     rep.add(check_equal(
@@ -153,7 +148,7 @@ def derive_psi_sigma(a: MonoidData, v: FObj, m: FMor, nu: FMor):
     field = a.field
     av = m.cod
     id_av = identity(av, field)
-    ida, idv = identity(a.obj, field), identity(v, field)
+    ida, idv = a.id, identity(v, field)
     muv = tensor(a.mul, idv)
 
     hyp = Report()

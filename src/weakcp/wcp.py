@@ -52,10 +52,11 @@ class Quadruple:
     ``psi`` must be a map V (x) A -> A (x) V and ``sigma`` a map
     V (x) V -> A (x) V; shapes are validated on construction.
 
-    The canonical idempotent ``nabla``, the product ``product`` on
-    A (x) V and the four defining conditions ``wmeas``, ``twisted``,
-    ``cocycle`` and ``normalized`` are computed on first use and then
-    kept, so every construction over one quadruple shares them.
+    The identity ``idv`` of V, the whisker ``muv`` = mu (x) V, the
+    canonical idempotent ``nabla``, the product ``product`` on A (x) V
+    and the four defining conditions ``wmeas``, ``twisted``, ``cocycle``
+    and ``normalized`` are computed on first use and then kept, so every
+    construction over one quadruple shares them.
     """
 
     monoid: MonoidData
@@ -84,9 +85,14 @@ class Quadruple:
     def a(self) -> FObj:
         return self.monoid.obj
 
-    def ids(self):
-        """(id_A, id_V) over the quadruple's field."""
-        return identity(self.a, self.field), identity(self.v, self.field)
+    @cached_property
+    def idv(self) -> FMor:
+        return identity(self.v, self.field)
+
+    @cached_property
+    def muv(self) -> FMor:
+        """mu (x) V : A (x) A (x) V -> A (x) V."""
+        return tensor(self.monoid.mul, self.idv)
 
     @cached_property
     def nabla(self) -> FMor:
@@ -94,11 +100,11 @@ class Quadruple:
 
         nabla = (mu (x) V) o (A (x) psi) o (A (x) V (x) eta).
         """
-        ida, idv = self.ids()
+        ida = self.monoid.id
         return compose(
-            tensor(self.monoid.mul, idv),
+            self.muv,
             tensor(ida, self.psi),
-            tensor(ida, idv, self.monoid.unit),
+            tensor(ida, self.idv, self.monoid.unit),
         )
 
     @cached_property
@@ -107,35 +113,31 @@ class Quadruple:
 
         mu_{A(x)V} = (mu (x) V) o (mu (x) sigma) o (A (x) psi (x) V).
         """
-        ida, idv = self.ids()
-        mu = self.monoid.mul
         return compose(
-            tensor(mu, idv),
-            tensor(mu, self.sigma),
-            tensor(ida, self.psi, idv),
+            self.muv,
+            tensor(self.monoid.mul, self.sigma),
+            tensor(self.monoid.id, self.psi, self.idv),
         )
 
     @cached_property
     def wmeas(self) -> ReportItem:
         """Weak measuring: (mu(x)V) o (A(x)psi) o (psi(x)A) = psi o (V(x)mu)."""
-        ida, idv = self.ids()
-        mu = self.monoid.mul
+        ida = self.monoid.id
         return check_equal(
             "wmeas-wcp",
-            compose(tensor(mu, idv), tensor(ida, self.psi), tensor(self.psi, ida)),
-            compose(self.psi, tensor(idv, mu)),
+            compose(self.muv, tensor(ida, self.psi), tensor(self.psi, ida)),
+            compose(self.psi, tensor(self.idv, self.monoid.mul)),
         )
 
     @cached_property
     def twisted(self) -> ReportItem:
         """Twisted condition relating psi and sigma."""
-        ida, idv = self.ids()
-        mu = self.monoid.mul
+        ida, idv = self.monoid.id, self.idv
         return check_equal(
             "twis-wcp",
-            compose(tensor(mu, idv), tensor(ida, self.psi), tensor(self.sigma, ida)),
+            compose(self.muv, tensor(ida, self.psi), tensor(self.sigma, ida)),
             compose(
-                tensor(mu, idv),
+                self.muv,
                 tensor(ida, self.sigma),
                 tensor(self.psi, idv),
                 tensor(idv, self.psi),
@@ -145,13 +147,12 @@ class Quadruple:
     @cached_property
     def cocycle(self) -> ReportItem:
         """2-cocycle condition for sigma."""
-        ida, idv = self.ids()
-        mu = self.monoid.mul
+        ida, idv = self.monoid.id, self.idv
         return check_equal(
             "cocy2-wcp",
-            compose(tensor(mu, idv), tensor(ida, self.sigma), tensor(self.sigma, idv)),
+            compose(self.muv, tensor(ida, self.sigma), tensor(self.sigma, idv)),
             compose(
-                tensor(mu, idv),
+                self.muv,
                 tensor(ida, self.sigma),
                 tensor(self.psi, idv),
                 tensor(idv, self.sigma),
@@ -170,11 +171,6 @@ class Quadruple:
         return Report([self.wmeas, self.twisted, self.cocycle, self.normalized])
 
 
-def normalize_sigma(q: Quadruple) -> Quadruple:
-    """Replace sigma by nabla o sigma, which is always normalized."""
-    return Quadruple(q.monoid, q.v, q.psi, compose(q.nabla, q.sigma))
-
-
 def check_quadruple(q: Quadruple) -> Report:
     """All defining conditions plus the idempotency of nabla.
 
@@ -184,12 +180,10 @@ def check_quadruple(q: Quadruple) -> Report:
     rep = q.conditions()
     nab = q.nabla
     rep.add(check_equal("idem-wcp", compose(nab, nab), nab))
-    ida, idv = q.ids()
-    muv = tensor(q.monoid.mul, idv)
     rep.add(check_equal(
         "nabla-left-linear",
-        compose(nab, muv),
-        compose(muv, tensor(ida, nab)),
+        compose(nab, q.muv),
+        compose(q.muv, tensor(q.monoid.id, nab)),
     ))
     return rep
 
@@ -202,10 +196,8 @@ def check_derived_identities(q: Quadruple) -> Report:
     sigma normalized.  Identities whose hypotheses fail on the given data
     are reported as not applicable instead of being asserted.
     """
-    ida, idv = q.ids()
-    mu = q.monoid.mul
+    ida, idv, muv = q.monoid.id, q.idv, q.muv
     nab = q.nabla
-    muv = tensor(mu, idv)
     rep = Report()
 
     base = compose(muv, tensor(ida, q.psi))

@@ -14,6 +14,7 @@ from conftest import FIELDS, random_idempotent
 from weakcp.fdvect import tensor
 from weakcp.fields import GF, QQ, PrimeField
 from weakcp.fixtures import (
+    MonoidPair,
     check_wdl,
     check_wdl_derived,
     diagonal_algebra,
@@ -23,7 +24,6 @@ from weakcp.fixtures import (
     triple_setup,
     trivial_extension,
     trivial_quadruple,
-    wdl_preunit,
     wdl_triple_from_law,
 )
 from weakcp.iso import build_iso, check_newit
@@ -43,9 +43,8 @@ def battery():
            tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit))
     yield ("skew-group-F3",) + _fix(skew_group_double(GF(3)))
     a, lam = mined_law()
-    t = wdl_triple_from_law(a, lam)
-    yield ("mined-wdl-F2", triple_setup(t),
-           wdl_preunit(t.a, t.b, t.l1), wdl_preunit(t.a, t.c, t.l3))
+    nu = MonoidPair(a, a).preunit(lam)
+    yield ("mined-wdl-F2", triple_setup(wdl_triple_from_law(a, lam)), nu, nu)
 
 
 def _fix(fix):

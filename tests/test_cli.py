@@ -151,6 +151,20 @@ def test_mine_wdl_huge_exhaustive_refused_at_once(field, dims, capsys):
     assert len(err) < 300
 
 
+@pytest.mark.parametrize("dims", ["1,2000", "2000,1", "300,1", "17,16"])
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--budget", "3"]],
+                         ids=["exhaustive", "budget"])
+def test_mine_wdl_law_over_cap_refused_at_once(dims, mode, capsys):
+    """A law of more than 65,536 entries is refused before any algebra is
+    built, whatever the search, even when one dimension is 1."""
+    t0 = time.perf_counter()
+    assert main(["mine-wdl", "--field", "2", "--dims", dims] + mode) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dims: ")
+    assert "entries, more than the cap of 65536" in err
+
+
 @pytest.mark.parametrize("mode", [[], ["--exhaustive"]],
                          ids=["random", "exhaustive"])
 def test_mine_wdl_negative_budget_exits_2(mode, capsys):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from weakcp.fdvect import identity, mor_eq, tensor
+from weakcp.fdvect import identity, tensor
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
+    MonoidPair,
     check_brzezinski,
     check_distributive_law,
     check_dp,
@@ -23,9 +24,6 @@ from weakcp.fixtures import (
     skew_group_quadruple,
     triple_setup,
     truncated_polynomial_algebra,
-    wdl_nabla,
-    wdl_preunit,
-    wdl_sigma,
     wdl_triple_from_law,
 )
 from weakcp.kernel import identity_mat, mat_eq, rank
@@ -74,7 +72,7 @@ def test_q_twist_degree_zero_is_flip_block():
     lam = q_twist(b, a, 1)
     from weakcp.fdvect import swap
 
-    assert mor_eq(lam, swap(b.obj, a.obj, GF(5)))
+    assert mat_eq(lam.mat, swap(b.obj, a.obj, GF(5)).mat)
 
 
 def test_strict_law_gives_quadruple_with_identity_nabla():
@@ -101,20 +99,21 @@ def test_mined_law_quadruple_and_rank():
     a, lam = mined_law()
     q = quadruple_from_wdl(a, a, lam)
     assert check_quadruple(q).ok
-    assert rank(wdl_nabla(a, a, lam).mat) == 3
+    assert rank(MonoidPair(a, a).nabla(lam).mat) == 3
 
 
 def test_wdl_sigma_and_preunit_shapes():
     a, lam = mined_law()
-    sig = wdl_sigma(a, a, lam)
-    nu = wdl_preunit(a, a, lam)
+    pair = MonoidPair(a, a)
+    sig = pair.sigma(lam)
+    nu = pair.preunit(lam)
     assert sig.mat.rows == a.dim * a.dim
     assert nu.mat.cols == 1
     # the preunit is the idempotent applied to eta (x) eta
     from weakcp.fdvect import compose
 
-    assert mor_eq(nu, compose(wdl_nabla(a, a, lam),
-                              tensor(a.unit, a.unit)))
+    assert mat_eq(nu.mat, compose(pair.nabla(lam),
+                                  tensor(a.unit, a.unit)).mat)
 
 
 def test_triple_closed_forms_weak():

@@ -2,23 +2,24 @@
 
 import collections
 import dataclasses
+import os
 
 import pytest
 
-from weakcp import fdvect, iso, iterate, preunit, wcp
-from weakcp.fdvect import check_monoid, compose, identity, mor_eq
+from weakcp import cli, fdvect, iso, iterate, preunit, wcp
+from weakcp.fdvect import check_monoid, compose, identity
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
+    MonoidPair,
     flip_fixture,
     quantum_plane_triple,
     skew_group_double,
     triple_setup,
-    wdl_preunit,
     wdl_triple_from_law,
 )
 from weakcp.fdvect import tensor
 from weakcp.iso import build_iso, check_newit
-from weakcp.kernel import rank
+from weakcp.kernel import identity_mat, mat_eq, rank
 from weakcp.mine import mined_law
 
 
@@ -30,9 +31,8 @@ def all_doubles():
     yield "quantum-plane", triple_setup(t), \
         tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit)
     a, lam = mined_law()
-    t = wdl_triple_from_law(a, lam)
-    yield "mined-577", triple_setup(t), \
-        wdl_preunit(t.a, t.b, t.l1), wdl_preunit(t.a, t.c, t.l3)
+    nu = MonoidPair(a, a).preunit(lam)
+    yield "mined-577", triple_setup(wdl_triple_from_law(a, lam)), nu, nu
 
 
 @pytest.fixture(params=list(all_doubles()), ids=lambda t: t[0])
@@ -81,25 +81,59 @@ def test_iso_verifies_each_identity_once(monkeypatch):
     assert labels["product-assoc"] == 0
 
 
+def test_iso_builds_mu_v_once_per_quadruple(monkeypatch):
+    """One iso job on flip_triple.json forms mu (x) id for at most one
+    identity per quadruple: its own id_V, for A x V, A x W and
+    A x (V (x) W)."""
+    calls = []
+    original = fdvect.mat_tensor
+
+    def spy(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    loaded = []
+    load = cli.load_workspace
+
+    def keep(*args, **kwargs):
+        loaded.append(load(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(fdvect, "mat_tensor", spy)
+    monkeypatch.setattr(cli, "load_workspace", keep)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        "flip_triple.json")
+    assert cli.main(["iso", path]) == 0
+    (s,) = loaded[0].setups.values()
+    mu = s.qv.monoid.mul.mat
+    whiskers = collections.Counter(
+        id(g) for f, g in calls
+        if f is mu and mat_eq(g, identity_mat(g.rows, g.field)))
+    quadruples = (s.qv, s.qw, s.qvw)
+    assert sum(whiskers.values()) <= len(quadruples)
+    for q in quadruples:
+        assert whiskers[id(q.idv.mat)] <= 1
+
+
 def test_omega_mutual_inverses(double):
     _, s, nu_v, nu_w = double
     b = build_iso(s, nu_v, nu_w)
     field = s.field
-    assert mor_eq(compose(b.omega, b.omega_inv),
-                  identity(b.ucp_vw.cp.obj, field))
-    assert mor_eq(compose(b.omega_inv, b.omega),
-                  identity(b.outer.obj, field))
+    assert mat_eq(compose(b.omega, b.omega_inv).mat,
+                  identity(b.ucp_vw.cp.obj, field).mat)
+    assert mat_eq(compose(b.omega_inv, b.omega).mat,
+                  identity(b.outer.obj, field).mat)
 
 
 def test_omega_is_monoid_iso(double):
     _, s, nu_v, nu_w = double
     b = build_iso(s, nu_v, nu_w)
     assert check_monoid(b.outer).ok
-    assert mor_eq(
-        compose(b.omega, b.outer.mul),
-        compose(b.ucp_vw.cp.mul, tensor(b.omega, b.omega)),
+    assert mat_eq(
+        compose(b.omega, b.outer.mul).mat,
+        compose(b.ucp_vw.cp.mul, tensor(b.omega, b.omega)).mat,
     )
-    assert mor_eq(compose(b.omega, b.outer.unit), b.ucp_vw.unit)
+    assert mat_eq(compose(b.omega, b.outer.unit).mat, b.ucp_vw.unit.mat)
 
 
 def test_ranks_agree(double):
@@ -112,8 +146,8 @@ def test_ranks_agree(double):
 
 def test_mined_outer_is_strictly_smaller():
     a, lam = mined_law()
-    t = wdl_triple_from_law(a, lam)
-    s = triple_setup(t)
-    b = build_iso(s, wdl_preunit(t.a, t.b, t.l1), wdl_preunit(t.a, t.c, t.l3))
+    s = triple_setup(wdl_triple_from_law(a, lam))
+    nu = MonoidPair(a, a).preunit(lam)
+    b = build_iso(s, nu, nu)
     big = s.qv.a.dim * s.qv.v.dim * s.qw.v.dim
     assert b.outer.dim < big

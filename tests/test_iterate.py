@@ -2,16 +2,16 @@
 
 import pytest
 
-from weakcp.fdvect import identity, mor_eq, swap, tensor
+from weakcp.fdvect import identity, swap, tensor
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
+    MonoidPair,
     flip_fixture,
     quantum_plane_triple,
     skew_group_double,
     triple_setup,
     trivial_extension,
     trivial_quadruple,
-    wdl_preunit,
     wdl_triple_from_law,
 )
 from weakcp.iterate import (
@@ -37,9 +37,8 @@ def all_doubles():
     yield "quantum-plane", triple_setup(t), \
         tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit)
     a, lam = mined_law()
-    t = wdl_triple_from_law(a, lam)
-    yield "mined-577", triple_setup(t), \
-        wdl_preunit(t.a, t.b, t.l1), wdl_preunit(t.a, t.c, t.l3)
+    nu = MonoidPair(a, a).preunit(lam)
+    yield "mined-577", triple_setup(wdl_triple_from_law(a, lam)), nu, nu
 
 
 @pytest.fixture(params=list(all_doubles()), ids=lambda t: t[0])

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakcp import mine
-from weakcp.fdvect import compose, identity
+from weakcp import fixtures, mine
+from weakcp.fdvect import compose
 from weakcp.fields import GF
 from weakcp.fixtures import (
+    MonoidPair,
+    check_wdl,
     cyclic_group_algebra,
     diagonal_algebra,
     truncated_polynomial_algebra,
@@ -22,11 +24,9 @@ from weakcp.mine import (
     SearchTooLarge,
     _dl_polynomials,
     _exchange_law,
-    _law_space,
     _least_nullity,
     _mine,
     _walk,
-    _wdl_predicate,
     law_from_code,
     mine_wdl,
 )
@@ -58,8 +58,8 @@ def test_linear_test_matches_composites(data):
     s = data.draw(st.sampled_from([1, 2]), label="s")
     t = data.draw(st.sampled_from([1, 2, 3]), label="t")
     a, b = pair(p, s, t)
-    exchange, _ = _wdl_predicate(a, b)
-    law = _exchange_law(*_law_space(a, b), exchange)
+    monoids = MonoidPair(a, b)
+    law = _exchange_law(monoids)
     n = law.entries
     mode = data.draw(st.sampled_from(["uniform", "solution", "perturbed"]))
     if mode == "uniform":
@@ -75,7 +75,8 @@ def test_linear_test_matches_composites(data):
             k = data.draw(st.integers(0, n - 1))
             digits[k] = (digits[k] + data.draw(st.integers(1, p - 1))) % p
     code = sum(d * p ** k for k, d in enumerate(digits))
-    composites_agree = mat_eq(*exchange(law_from_code(a, b, code)))
+    composites_agree = mat_eq(*(side.mat for side in
+                                monoids.exchange(law_from_code(a, b, code))))
     assert law.holds(code) == composites_agree
     if mode == "solution":
         assert composites_agree
@@ -86,7 +87,7 @@ def test_linear_test_matches_composites(data):
 ])
 def test_exchange_law_nullity(p, s, t, nullity):
     a, b = pair(p, s, t)
-    law = _exchange_law(*_law_space(a, b), _wdl_predicate(a, b)[0])
+    law = _exchange_law(MonoidPair(a, b))
     assert law.basis.cols == nullity
 
 
@@ -110,7 +111,7 @@ def test_null_space_path_matches_brute_force(gf3_exhaustive):
     every code."""
     a, b = pair(3, 2, 2)
     limit = 20000
-    brute = _mine(a, b, lambda law, quadratic: range(limit))
+    brute = _mine(a, b, lambda law, axioms: range(limit))
     assert len(brute.laws) == 6
     fast = [law for law in summary(gf3_exhaustive) if law[0] < limit]
     assert summary(brute) == fast
@@ -157,11 +158,11 @@ ORACLE_CASES = [
 def _walk_and_oracle(a, b):
     """The walk's survivors, before accept, and the solutions of the
     exchange law that pass the full predicate."""
-    exchange, accept = _wdl_predicate(a, b)
-    law = _exchange_law(*_law_space(a, b), exchange)
+    monoids = MonoidPair(a, b)
+    law = _exchange_law(monoids)
     oracle = [code for code in law.codes()
-              if accept(law_from_code(a, b, code))]
-    return law, _walk(law, accept.quadratic), oracle
+              if monoids.holds(law_from_code(a, b, code))]
+    return law, _walk(law, monoids.products), oracle
 
 
 @pytest.mark.parametrize("p,s,t,nullity", ORACLE_CASES)
@@ -199,8 +200,7 @@ def test_least_nullity_is_a_lower_bound(data):
                       for x in ("A", "B"))
     a = ALGEBRAS[kind_a]("S", s, GF(p))
     b = ALGEBRAS[kind_b]("T", t, GF(p))
-    exchange, _ = _wdl_predicate(a, b)
-    law = _exchange_law(*_law_space(a, b), exchange)
+    law = _exchange_law(MonoidPair(a, b))
     assert _least_nullity(s, t) <= law.basis.cols
 
 
@@ -216,8 +216,8 @@ def test_polynomials_match_composites(data):
                       for x in ("A", "B"))
     a = ALGEBRAS[kind_a]("S", s, GF(p))
     b = ALGEBRAS[kind_b]("T", t, GF(p))
-    exchange, accept = _wdl_predicate(a, b)
-    law = _exchange_law(*_law_space(a, b), exchange)
+    monoids = MonoidPair(a, b)
+    law = _exchange_law(monoids)
     n = law.basis.cols
     x = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
                   label="x")
@@ -225,8 +225,8 @@ def test_polynomials_match_composites(data):
               for i in range(law.entries)]
     lam = law_from_code(a, b, sum(d * p ** k for k, d in enumerate(digits)))
     y = [1] + x
-    for (left, q, right), polys in zip(accept.quadratic,
-                                      _dl_polynomials(law, accept.quadratic)):
+    for (_, left, q, right), polys in zip(
+            monoids.products, _dl_polynomials(law, monoids.products)):
         lhs, rhs = left(lam).mat, compose(q(lam), right(lam)).mat
         for r, (u, v) in enumerate(zip(lhs.entries, rhs.entries)):
             value = sum(c * y[i] * y[j] for (i, j), c in
@@ -235,24 +235,56 @@ def test_polynomials_match_composites(data):
 
 
 def test_whiskers_built_once_per_search(monkeypatch):
-    """eta_B (x) A, B (x) eta_A, B (x) mu_A and mu_B (x) A are built once
-    per search, so one accept of a passing law builds only the six
-    tensors that contain the law."""
+    """The six whiskers of the monoids that the axioms compose a law with
+    are built once per search, by its one MonoidPair, so one full check
+    of a passing law builds only the six tensors that contain the law."""
     built = collections.Counter()
-    original = mine.tensor
+    original = fixtures.tensor
 
-    def spy(f, g):
-        built[f, g] += 1
-        return original(f, g)
+    def spy(*fs):
+        built[fs] += 1
+        return original(*fs)
 
-    monkeypatch.setattr(mine, "tensor", spy)
+    monkeypatch.setattr(fixtures, "tensor", spy)
     a, b = pair(2, 2, 2)
     assert mine_wdl(a, b).total == mine.REFERENCE_TOTAL
-    ida, idb = identity(a.obj, a.field), identity(b.obj, b.field)
-    for key in [(b.unit, ida), (idb, a.unit), (idb, a.mul), (b.mul, ida)]:
+    for key in [(b.unit, a.id), (b.id, a.unit), (b.id, a.mul),
+                (b.mul, a.id), (a.mul, b.id), (a.id, b.mul)]:
         assert built[key] == 1, key
     s, lam = mine.mined_law()
-    _, accept = _wdl_predicate(s, s)
+    monoids = MonoidPair(s, s)
+    assert monoids.holds(lam)
     built.clear()
-    assert accept(lam)
+    assert monoids.holds(lam)
     assert sum(built.values()) == 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_check_wdl_agrees_with_full_check(data):
+    """check-wdl passes DL1, DL3 and idem=idem on a law exactly when the
+    miner's full check accepts it; both read the table of MonoidPair."""
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    s = data.draw(st.sampled_from([1, 2]), label="s")
+    t = data.draw(st.sampled_from([1, 2, 3]), label="t")
+    kind_a, kind_b = (data.draw(st.sampled_from(sorted(ALGEBRAS)), label=x)
+                      for x in ("A", "B"))
+    a = ALGEBRAS[kind_a]("S", s, GF(p))
+    b = ALGEBRAS[kind_b]("T", t, GF(p))
+    monoids = MonoidPair(a, b)
+    law = _exchange_law(monoids)
+    if data.draw(st.booleans(), label="on the exchange law"):
+        # a random solution of the exchange law, where DL1 and DL3 decide
+        x = data.draw(st.lists(st.integers(0, p - 1), min_size=law.basis.cols,
+                               max_size=law.basis.cols), label="x")
+        digits = [sum(c * law.basis[i, j] for j, c in enumerate(x)) % p
+                  for i in range(law.entries)]
+    else:
+        digits = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=law.entries,
+                                    max_size=law.entries), label="digits")
+    lam = law_from_code(a, b, sum(d * p ** k for k, d in enumerate(digits)))
+    rep = check_wdl(a, b, lam)
+    verdicts = {item.label: item.passed for item in rep.items}
+    axioms = verdicts["DL1"] and verdicts["DL3"] and verdicts["idem=idem"]
+    assert axioms == monoids.holds(lam)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from weakcp.fdvect import UNIT, check_monoid, compose, identity, mor_eq, tensor
+from weakcp.fdvect import UNIT, check_monoid, compose, identity, tensor
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
     flip_fixture,
@@ -10,7 +10,7 @@ from weakcp.fixtures import (
     trivial_preunit,
     trivial_quadruple,
 )
-from weakcp.kernel import Mat
+from weakcp.kernel import Mat, mat_eq
 from weakcp.preunit import (
     beta_nu,
     build_unital,
@@ -47,7 +47,7 @@ def test_preunit_axioms_for_product(preunital):
 
 def test_nu_idempotent_equals_nabla(preunital):
     _, q, nu = preunital
-    assert mor_eq(nabla_nu(q.product, nu), q.nabla)
+    assert mat_eq(nabla_nu(q.product, nu).mat, q.nabla.mat)
 
 
 def test_build_unital_monoid(preunital):
@@ -56,22 +56,22 @@ def test_build_unital_monoid(preunital):
     assert ucp.report.ok, ucp.report.render()
     assert check_monoid(ucp.monoid).ok
     # the unit is the projected preunit
-    assert mor_eq(ucp.unit, compose(ucp.cp.proj, nu))
+    assert mat_eq(ucp.unit.mat, compose(ucp.cp.proj, nu).mat)
 
 
 def test_beta_is_multiplicative(preunital):
     _, q, nu = preunital
     beta = beta_nu(q, nu)
     mu_big = q.product
-    assert mor_eq(compose(mu_big, tensor(beta, beta)),
-                  compose(beta, q.monoid.mul))
+    assert mat_eq(compose(mu_big, tensor(beta, beta)).mat,
+                  compose(beta, q.monoid.mul).mat)
 
 
 def test_round_trip_recovery(preunital):
     _, q, nu = preunital
     q2, rep = derive_psi_sigma(q.monoid, q.v, q.product, nu)
     assert rep.ok, rep.render()
-    assert mor_eq(q2.product, q.product)
+    assert mat_eq(q2.product.mat, q.product.mat)
 
 
 def test_trivial_quadruple_unit():
@@ -82,9 +82,9 @@ def test_trivial_quadruple_unit():
     ucp = build_unital(build_crossed_product(qt), trivial_preunit(qt))
     # the crossed product of A with a point is A itself
     assert ucp.monoid.dim == a.dim
-    assert mor_eq(ucp.monoid.mul, type(ucp.monoid.mul)(
+    assert mat_eq(ucp.monoid.mul.mat, type(ucp.monoid.mul)(
         ucp.monoid.mul.dom, ucp.monoid.mul.cod, a.mul.mat
-    ))
+    ).mat)
 
 
 def test_build_unital_rejects_bad_preunit():
