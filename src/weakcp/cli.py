@@ -21,11 +21,10 @@ from . import __version__
 from .fdvect import UNIT
 from .fields import GF
 from .fixtures import (
+    MonoidPair,
     check_brzezinski,
     check_distributive_law,
     check_dp,
-    check_wdl,
-    check_wdl_derived,
     check_wreath,
     diagonal_algebra,
     quadruple_from_wdl,
@@ -184,9 +183,10 @@ def _cmd_check_dl(ws: Workspace, args):
 
 def _cmd_check_wdl(ws: Workspace, args):
     for name, a, b, lam in _law_entries(ws):
-        rep = check_wdl(a, b, lam)
+        pair = MonoidPair(a, b)
+        rep = pair.check_wdl(lam)
         if rep.ok:
-            rep.extend(check_wdl_derived(a, b, lam))
+            rep.extend(pair.check_wdl_derived(lam))
         yield name, rep, {}
 
 

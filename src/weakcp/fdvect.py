@@ -69,9 +69,10 @@ UNIT = FObj(())
 
 
 def vobj(name: str, dim: int) -> FObj:
-    """A single named space as a one-factor word."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    """A single named space as a one-factor word; dimension 0 is the zero
+    space, such as the split image of a zero idempotent."""
+    if dim < 0:
+        raise ValueError(f"dimension must be non-negative, got {dim}")
     return FObj(((name, dim),))
 
 

@@ -26,13 +26,12 @@ from .fdvect import (
     check_equal,
     check_monoid,
     compose,
-    identity,
     tensor,
     vobj,
 )
 from .kernel import split_idempotent
 from .iterate import IterSetup, build_iterated, iterated_preunit
-from .preunit import UnitalCrossedProduct, build_unital
+from .preunit import UnitalCrossedProduct, build_unital, check_pre_system
 from .report import Report, ReportItem
 from .wcp import build_crossed_product, require
 
@@ -40,24 +39,21 @@ from .wcp import build_crossed_product, require
 def check_newit(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     """The three extra identities that make the two-stage product work."""
     ida, idv, idw = s.ids()
-    muv = s.qv.muv
     psi_v, psi_w = s.qv.psi, s.qw.psi
     sig_v, sig_w = s.qv.sigma, s.qw.sigma
     nab = s.qvw.nabla
     rep = Report()
-    inner1 = compose(muv, tensor(ida, psi_v), tensor(sig_v, ida))
-    inner2 = compose(muv, tensor(ida, sig_v))
+    inner1 = compose(s.qv.mupsi, tensor(sig_v, ida))
     rep.add(check_equal(
         "new-it-1",
         compose(nab, tensor(inner1, idw), tensor(idv, idv, nu_w)),
-        compose(nab, tensor(inner2, idw), tensor(psi_v, s.tau),
+        compose(nab, s.musigma_w, tensor(psi_v, s.tau),
                 tensor(idv, nu_w, idv)),
     ))
-    inner3 = compose(muv, tensor(ida, psi_v))
     rep.add(check_equal(
         "new-it-2",
         compose(nab, tensor(sig_v, idw)),
-        compose(tensor(inner3, idw), tensor(sig_v, psi_w),
+        compose(s.mupsi_w, tensor(sig_v, psi_w),
                 tensor(idv, s.delta, s.qv.monoid.unit)),
     ))
     rep.add(check_equal(
@@ -90,34 +86,35 @@ class IsoBundle:
 def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     """Build both iterated monoids and verify that omega is an isomorphism.
 
-    Stages, each verified before the next: the combined quadruple and
-    preunit and the three unital crossed products; the three extra
+    Stages, each verified before the next: the combined quadruple; the
+    combined preunit, where :func:`~weakcp.iterate.iterated_preunit`
+    verifies the preunit axioms of all three preunits and the combined
+    one's preunit system; the three unital crossed products, where the
+    preunit systems of nu_v and nu_w are verified as A x V and A x W are
+    built (each preunit identity is verified once); the three extra
     identities; the embedding of A x V (a monoid morphism) and the
     restricted idempotent on (A x V) (x) W (idempotent and linear over
     A x V); omega and its inverse from the splitting of that idempotent;
     and the monoid (A x V) x W, with omega a monoid isomorphism onto
     A x (V (x) W) and the two sides of equal dimension.
     """
-    field = s.field
-    ida, _, idw = s.ids()
+    idw = s.qw.idv
+
+    def factor(q, nu):
+        cp = build_crossed_product(q)
+        require(check_pre_system(q, nu), "preunit system fails")
+        return build_unital(cp, nu)
 
     qvw, _ = build_iterated(s)
     nu_vw, _ = iterated_preunit(s, nu_v, nu_w)
     ucp_vw = build_unital(build_crossed_product(qvw), nu_vw)
-    ucp_v = build_unital(build_crossed_product(s.qv), nu_v)
-    ucp_w = build_unital(build_crossed_product(s.qw), nu_w)
+    ucp_v, ucp_w = factor(s.qv, nu_v), factor(s.qw, nu_w)
     cp_v, cp_vw = ucp_v.cp, ucp_vw.cp
 
     rep = require(check_newit(s, nu_v, nu_w), "extra identities fail")
 
     # the embeddings and the restricted idempotent
-    i_axv = compose(
-        cp_vw.proj,
-        s.muvw,
-        tensor(ida, s.qv.psi, idw),
-        tensor(cp_v.inj, nu_w),
-    )
-    i_axv = FMor(cp_v.obj, cp_vw.obj, i_axv.mat)
+    i_axv = compose(cp_vw.proj, s.mupsi_w, tensor(cp_v.inj, nu_w))
     rep.add(check_equal(
         "i-axv-mult",
         compose(i_axv, cp_v.mul),
@@ -126,7 +123,6 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     rep.add(check_equal("i-axv-unit", compose(i_axv, ucp_v.unit), ucp_vw.unit))
 
     i_w = compose(cp_vw.proj, tensor(nu_v, idw))
-    i_w = FMor(s.qw.v, cp_vw.obj, i_w.mat)
 
     # (A x V) (x) W <-> A (x) V (x) W
     inj_w, proj_w = tensor(cp_v.inj, idw), tensor(cp_v.proj, idw)
@@ -138,27 +134,26 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     rep.add(check_equal(
         "nabla-axvw-linear",
         compose(nab_small, mul_w),
-        compose(mul_w, tensor(ucp_v.monoid.id, nab_small)),
+        compose(mul_w, tensor(cp_v.id, nab_small)),
     ))
     require(rep, "embedding verification failed")
 
-    # omega and its inverse
+    # omega and its inverse, and the two-stage monoid: the big product
+    # and the preunit, transported
     sp = split_idempotent(nab_small.mat)
     outer_obj = vobj(f"({cp_v.obj.factors[0][0]}xW)", sp.rank)
     inj = FMor(outer_obj, nab_small.dom, sp.inj)
     proj = FMor(nab_small.dom, outer_obj, sp.proj)
+    mu_mid = compose(proj_w, qvw.product, tensor(inj_w, inj_w))
+    proj_big = compose(proj, proj_w)  # A (x) V (x) W -> (A x V) x W
+    outer = MonoidData(outer_obj.factors[0][0], outer_obj,
+                       compose(proj, mu_mid, tensor(inj, inj)),
+                       compose(proj_big, nu_vw))
 
     omega = compose(cp_vw.proj, inj_w, inj)
-    omega = FMor(outer_obj, cp_vw.obj, omega.mat)
-    omega_inv = compose(proj, proj_w, cp_vw.inj)
-    omega_inv = FMor(cp_vw.obj, outer_obj, omega_inv.mat)
-    rep.add(check_equal(
-        "omega-right-inv", compose(omega, omega_inv), ucp_vw.monoid.id,
-    ))
-    rep.add(check_equal(
-        "omega-left-inv", compose(omega_inv, omega),
-        identity(outer_obj, field),
-    ))
+    omega_inv = compose(proj_big, cp_vw.inj)
+    rep.add(check_equal("omega-right-inv", compose(omega, omega_inv), cp_vw.id))
+    rep.add(check_equal("omega-left-inv", compose(omega_inv, omega), outer.id))
     rep.add(check_equal(
         "omega-compat",
         compose(omega, proj),
@@ -166,15 +161,6 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     ))
     require(rep, "omega verification failed")
 
-    # the two-stage monoid: the big product and the preunit, transported
-    mu_mid = compose(proj_w, qvw.product, tensor(inj_w, inj_w))
-    mu_outer = compose(proj, mu_mid, tensor(inj, inj))
-    eta_outer = compose(proj, proj_w, nu_vw)
-    outer = MonoidData(
-        outer_obj.factors[0][0], outer_obj,
-        FMor(outer_obj @ outer_obj, outer_obj, mu_outer.mat),
-        FMor(eta_outer.dom, outer_obj, eta_outer.mat),
-    )
     rep.extend(check_monoid(outer, prefix="outer-"))
     rep.add(check_equal(
         "omega-mult",

@@ -23,10 +23,11 @@ from .wcp import PreconditionError, Quadruple, check_quadruple, require
 class IterSetup:
     """Two quadruples over one monoid, with link and twisting morphisms.
 
-    ``qvw``, the combined quadruple on V (x) W, and the whisker
-    ``muvw`` = mu (x) V (x) W are built on first use and then kept; the
-    ``psi``, ``sigma``, ``nabla`` and ``product`` of ``qvw`` are the
-    combined structure maps.
+    ``qvw``, the combined quadruple on V (x) W, and the whiskers
+    ``mupsi_w`` = (mu (x) V (x) W) o (A (x) psi_V (x) W) and
+    ``musigma_w`` = (mu (x) V (x) W) o (A (x) sigma_V (x) W) are built on
+    first use and then kept; the ``psi``, ``sigma``, ``nabla`` and
+    ``product`` of ``qvw`` are the combined structure maps.
     """
 
     qv: Quadruple
@@ -54,9 +55,12 @@ class IterSetup:
         return self.qv.monoid.id, self.qv.idv, self.qw.idv
 
     @cached_property
-    def muvw(self) -> FMor:
-        """mu (x) V (x) W : A (x) A (x) V (x) W -> A (x) V (x) W."""
-        return tensor(self.qv.muv, self.qw.idv)
+    def mupsi_w(self) -> FMor:
+        return tensor(self.qv.mupsi, self.qw.idv)
+
+    @cached_property
+    def musigma_w(self) -> FMor:
+        return tensor(self.qv.musigma, self.qw.idv)
 
     @cached_property
     def qvw(self) -> Quadruple:
@@ -69,8 +73,7 @@ class IterSetup:
         qv, qw = self.qv, self.qw
         psi = compose(tensor(qv.psi, idw), tensor(idv, qw.psi), tensor(self.delta, ida))
         sigma = compose(
-            self.muvw,
-            tensor(ida, qv.psi, idw),
+            self.mupsi_w,
             tensor(qv.sigma, qw.sigma),
             tensor(idv, self.tau, idw),
         )
@@ -105,36 +108,40 @@ def check_link(s: IterSetup) -> Report:
     return rep
 
 
+def twisting_sides(s: IterSetup) -> tuple:
+    """The two sides of the second twisting condition, maps
+    W (x) V (x) W (x) V -> A (x) V (x) W."""
+    ida, idv, idw = s.ids()
+    psi_v, psi_w = s.qv.psi, s.qw.psi
+    sig_v, sig_w = s.qv.sigma, s.qw.sigma
+    lhs = compose(
+        s.musigma_w,
+        tensor(psi_v, s.tau),
+        tensor(idv, sig_w, idv),
+        tensor(s.tau, idw, idv),
+    )
+    rhs = compose(
+        s.mupsi_w,
+        tensor(ida, idv, sig_w),
+        tensor(ida, s.tau, idw),
+        tensor(psi_w, idv, idw),
+        tensor(idw, sig_v, idw),
+        tensor(idw, idv, s.tau),
+    )
+    return lhs, rhs
+
+
 def check_twisting(s: IterSetup) -> Report:
     """The two defining conditions for the twisting morphism tau."""
     ida, idv, idw = s.ids()
     psi_v, psi_w = s.qv.psi, s.qw.psi
-    sig_v, sig_w = s.qv.sigma, s.qw.sigma
     rep = Report()
     rep.add(check_equal(
         "twisting-i",
         compose(tensor(psi_v, idw), tensor(idv, psi_w), tensor(s.tau, ida)),
         compose(tensor(ida, s.tau), tensor(psi_w, idv), tensor(idw, psi_v)),
     ))
-    rep.add(check_equal(
-        "twisting-ii",
-        compose(
-            s.muvw,
-            tensor(ida, sig_v, idw),
-            tensor(psi_v, s.tau),
-            tensor(idv, sig_w, idv),
-            tensor(s.tau, idw, idv),
-        ),
-        compose(
-            s.muvw,
-            tensor(ida, psi_v, idw),
-            tensor(ida, idv, sig_w),
-            tensor(ida, s.tau, idw),
-            tensor(psi_w, idv, idw),
-            tensor(idw, sig_v, idw),
-            tensor(idw, idv, s.tau),
-        ),
-    ))
+    rep.add(check_equal("twisting-ii", *twisting_sides(s)))
     return rep
 
 
@@ -182,8 +189,7 @@ def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> R
     rep.add(check_equal(
         "pre-1",
         compose(
-            s.muvw,
-            tensor(ida, s.qv.sigma, idw),
+            s.musigma_w,
             tensor(s.qv.psi, s.tau),
             tensor(idv, s.qw.psi, idv),
             tensor(s.delta, nu_v),
@@ -193,8 +199,7 @@ def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> R
     rep.add(check_equal(
         "pre-2",
         compose(
-            s.muvw,
-            tensor(ida, s.qv.psi, idw),
+            s.mupsi_w,
             tensor(ida, idv, s.qw.sigma),
             tensor(ida, s.tau, idw),
             tensor(nu_w, idv, idw),
@@ -208,11 +213,12 @@ def iterated_preunit(s: IterSetup, nu_v: FMor, nu_w: FMor):
     """Combine preunits of the two factors into one for V (x) W.
 
     nu = nabla o (mu (x) V (x) W) o (A (x) psi_V (x) W) o (nu_V (x) nu_W).
-    The hypotheses and the resulting full preunit system for the combined
-    quadruple are verified; returns (nu, report).
+    Verifies the preunit axioms of nu_V and nu_W, the two hypotheses, and
+    the preunit axioms and preunit system of nu; the factors' preunit
+    systems are left to :func:`weakcp.iso.build_iso`.  Returns (nu, report).
     """
     for q, nu, tag in ((s.qv, nu_v, "first"), (s.qw, nu_w, "second")):
-        chk = check_preunit_axioms(q.product, nu, label="preunit")
+        chk = check_preunit_axioms(q.product, nu, q.idav, label="preunit")
         if not chk.passed:
             raise PreconditionError(
                 f"the {tag} preunit is not a preunit for its product",
@@ -220,16 +226,11 @@ def iterated_preunit(s: IterSetup, nu_v: FMor, nu_w: FMor):
             )
     rep = require(check_iterated_preunit_hypotheses(s, nu_v, nu_w),
                   "iterated preunit hypotheses fail")
-    ida, _, idw = s.ids()
     qvw = s.qvw
-    raw = compose(
-        qvw.nabla,
-        s.muvw,
-        tensor(ida, s.qv.psi, idw),
-        tensor(nu_v, nu_w),
-    )
+    raw = compose(qvw.nabla, s.mupsi_w, tensor(nu_v, nu_w))
     nu_vw = FMor(raw.dom, qvw.a @ qvw.v, raw.mat)
-    rep.add(check_preunit_axioms(qvw.product, nu_vw, label="iterated-preunit"))
+    rep.add(check_preunit_axioms(qvw.product, nu_vw, qvw.idav,
+                                 label="iterated-preunit"))
     rep.extend(check_pre_system(qvw, nu_vw))
     require(rep, "iterated preunit fails verification")
     return nu_vw, rep

@@ -30,20 +30,19 @@ def beta_nu(q: Quadruple, nu: FMor) -> FMor:
     return compose(q.muv, tensor(q.monoid.id, nu))
 
 
-def nabla_nu(m: FMor, nu: FMor) -> FMor:
-    """The idempotent m o (A (x) V (x) nu) induced by a preunit."""
-    av_dim = m.cod.dim
-    id_av = identity(m.cod, m.field)
-    if m.dom.dim != av_dim * av_dim:
+def nabla_nu(m: FMor, nu: FMor, id_av: FMor) -> FMor:
+    """The idempotent m o (A (x) V (x) nu) induced by a preunit, where
+    ``id_av`` is the identity of the codomain A (x) V of m."""
+    if m.dom.dim != m.cod.dim * m.cod.dim:
         raise ValueError("product must be a binary operation on its codomain")
     return compose(m, tensor(id_av, nu))
 
 
-def check_preunit_axioms(m: FMor, nu: FMor, label: str = "preunit") -> ReportItem:
+def check_preunit_axioms(m: FMor, nu: FMor, id_av: FMor,
+                         label: str = "preunit") -> ReportItem:
     """nu is a preunit for m: right and left absorption agree and equal
-    absorption of nu*nu."""
-    id_av = identity(m.cod, m.field)
-    right = compose(m, tensor(id_av, nu))
+    absorption of nu*nu.  ``id_av`` is the identity of m's codomain."""
+    right = nabla_nu(m, nu, id_av)
     left = compose(m, tensor(nu, id_av))
     square = compose(m, tensor(id_av, compose(m, tensor(nu, nu))))
     item = check_equal(label, right, left, note="right vs left")
@@ -56,23 +55,23 @@ def check_preunit_axioms(m: FMor, nu: FMor, label: str = "preunit") -> ReportIte
 
 def check_pre_system(q: Quadruple, nu: FMor) -> Report:
     """The three compatibility equations tying nu to (psi, sigma)."""
-    ida, idv, muv = q.monoid.id, q.idv, q.muv
+    ida, idv = q.monoid.id, q.idv
     nab = q.nabla
     target = compose(nab, tensor(q.monoid.unit, idv))
     rep = Report()
     rep.add(check_equal(
         "pre1-wcp",
-        compose(muv, tensor(ida, q.sigma), tensor(q.psi, idv), tensor(idv, nu)),
+        compose(q.musigma, tensor(q.psi, idv), tensor(idv, nu)),
         target,
     ))
     rep.add(check_equal(
         "pre2-wcp",
-        compose(muv, tensor(ida, q.sigma), tensor(nu, idv)),
+        compose(q.musigma, tensor(nu, idv)),
         target,
     ))
     rep.add(check_equal(
         "pre3-wcp",
-        compose(muv, tensor(ida, q.psi), tensor(nu, ida)),
+        compose(q.mupsi, tensor(nu, ida)),
         beta_nu(q, nu),
     ))
     rep.add(check_equal("preunit-idemp", compose(nab, nu), nu))
@@ -91,22 +90,23 @@ class UnitalCrossedProduct:
 
 
 def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
-    """Extend a built crossed product to a monoid by a preunit.
+    """Extend a built crossed product to a monoid by a verified preunit.
 
-    Verifies the preunit system first; afterwards re-checks that nu is a
-    genuine preunit for the product, that the two idempotents (from psi
-    and from nu) coincide, the unit laws for the induced unit on the
-    image (associativity there is ``cp``'s own ``assoc`` check), and that
-    beta transported to the image is a monoid morphism.
+    The caller has verified nu's preunit system for ``cp.quad`` and its
+    preunit axioms for ``cp.quad.product``; in ``iso`` these are checks
+    of :func:`~weakcp.iterate.iterated_preunit` and
+    :func:`~weakcp.iso.build_iso`.  This checks what follows from them:
+    the idempotents of psi and of nu coincide, the induced unit is a unit
+    on the image (associativity there is ``cp``'s own ``assoc`` check),
+    and beta transported to the image is a monoid morphism.
     """
     q = cp.quad
-    rep = require(check_pre_system(q, nu), "preunit system fails")
     unit = compose(cp.proj, nu)
     axv = MonoidData(cp.obj.factors[0][0], cp.obj, cp.mul, unit)
 
-    rep.add(check_preunit_axioms(q.product, nu))
-    rep.add(check_equal("nu-nabla", nabla_nu(q.product, nu), q.nabla))
-    idx = axv.id
+    rep = Report()
+    rep.add(check_equal("nu-nabla", nabla_nu(q.product, nu, q.idav), q.nabla))
+    idx = cp.id
     rep.add(check_equal(
         "product-unit-left", compose(cp.mul, tensor(unit, idx)), idx
     ))
@@ -115,15 +115,14 @@ def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
     ))
 
     beta = beta_nu(q, nu)
+    beta_mu = compose(beta, q.monoid.mul)
     rep.add(check_equal("beta-eta", compose(beta, q.monoid.unit), nu))
     rep.add(check_equal(
-        "beta-mult",
-        compose(q.product, tensor(beta, beta)),
-        compose(beta, q.monoid.mul),
+        "beta-mult", compose(q.product, tensor(beta, beta)), beta_mu
     ))
     rep.add(check_equal(
         "beta-linear",
-        compose(beta, q.monoid.mul),
+        beta_mu,
         compose(q.muv, tensor(q.monoid.id, beta)),
     ))
     beta_bar = compose(cp.proj, beta)
@@ -162,8 +161,8 @@ def derive_psi_sigma(a: MonoidData, v: FObj, m: FMor, nu: FMor):
         compose(m, tensor(muv, id_av)),
         compose(muv, tensor(ida, m)),
     ))
-    hyp.add(check_preunit_axioms(m, nu))
-    nab = nabla_nu(m, nu)
+    hyp.add(check_preunit_axioms(m, nu, id_av))
+    nab = nabla_nu(m, nu, id_av)
     hyp.add(check_equal("product-normal-left", compose(nab, m), m))
     hyp.add(check_equal(
         "product-normal-right", compose(m, tensor(nab, nab)), m

@@ -52,11 +52,13 @@ class Quadruple:
     ``psi`` must be a map V (x) A -> A (x) V and ``sigma`` a map
     V (x) V -> A (x) V; shapes are validated on construction.
 
-    The identity ``idv`` of V, the whisker ``muv`` = mu (x) V, the
-    canonical idempotent ``nabla``, the product ``product`` on A (x) V
-    and the four defining conditions ``wmeas``, ``twisted``, ``cocycle``
-    and ``normalized`` are computed on first use and then kept, so every
-    construction over one quadruple shares them.
+    The identities ``idv`` of V and ``idav`` of A (x) V, the whisker
+    ``muv`` = mu (x) V, its composites ``mupsi`` = muv o (A (x) psi) and
+    ``musigma`` = muv o (A (x) sigma), the canonical idempotent
+    ``nabla``, the product ``product`` on A (x) V and the four defining
+    conditions ``wmeas``, ``twisted``, ``cocycle`` and ``normalized`` are
+    computed on first use and then kept, so every construction over one
+    quadruple shares them.
     """
 
     monoid: MonoidData
@@ -90,9 +92,23 @@ class Quadruple:
         return identity(self.v, self.field)
 
     @cached_property
+    def idav(self) -> FMor:
+        return identity(self.a @ self.v, self.field)
+
+    @cached_property
     def muv(self) -> FMor:
         """mu (x) V : A (x) A (x) V -> A (x) V."""
         return tensor(self.monoid.mul, self.idv)
+
+    @cached_property
+    def mupsi(self) -> FMor:
+        """(mu (x) V) o (A (x) psi) : A (x) V (x) A -> A (x) V."""
+        return compose(self.muv, tensor(self.monoid.id, self.psi))
+
+    @cached_property
+    def musigma(self) -> FMor:
+        """(mu (x) V) o (A (x) sigma) : A (x) V (x) V -> A (x) V."""
+        return compose(self.muv, tensor(self.monoid.id, self.sigma))
 
     @cached_property
     def nabla(self) -> FMor:
@@ -100,11 +116,8 @@ class Quadruple:
 
         nabla = (mu (x) V) o (A (x) psi) o (A (x) V (x) eta).
         """
-        ida = self.monoid.id
         return compose(
-            self.muv,
-            tensor(ida, self.psi),
-            tensor(ida, self.idv, self.monoid.unit),
+            self.mupsi, tensor(self.monoid.id, self.idv, self.monoid.unit)
         )
 
     @cached_property
@@ -125,7 +138,7 @@ class Quadruple:
         ida = self.monoid.id
         return check_equal(
             "wmeas-wcp",
-            compose(self.muv, tensor(ida, self.psi), tensor(self.psi, ida)),
+            compose(self.mupsi, tensor(self.psi, ida)),
             compose(self.psi, tensor(self.idv, self.monoid.mul)),
         )
 
@@ -135,28 +148,18 @@ class Quadruple:
         ida, idv = self.monoid.id, self.idv
         return check_equal(
             "twis-wcp",
-            compose(self.muv, tensor(ida, self.psi), tensor(self.sigma, ida)),
-            compose(
-                self.muv,
-                tensor(ida, self.sigma),
-                tensor(self.psi, idv),
-                tensor(idv, self.psi),
-            ),
+            compose(self.mupsi, tensor(self.sigma, ida)),
+            compose(self.musigma, tensor(self.psi, idv), tensor(idv, self.psi)),
         )
 
     @cached_property
     def cocycle(self) -> ReportItem:
         """2-cocycle condition for sigma."""
-        ida, idv = self.monoid.id, self.idv
+        idv = self.idv
         return check_equal(
             "cocy2-wcp",
-            compose(self.muv, tensor(ida, self.sigma), tensor(self.sigma, idv)),
-            compose(
-                self.muv,
-                tensor(ida, self.sigma),
-                tensor(self.psi, idv),
-                tensor(idv, self.sigma),
-            ),
+            compose(self.musigma, tensor(self.sigma, idv)),
+            compose(self.musigma, tensor(self.psi, idv), tensor(idv, self.sigma)),
         )
 
     @cached_property
@@ -196,18 +199,18 @@ def check_derived_identities(q: Quadruple) -> Report:
     sigma normalized.  Identities whose hypotheses fail on the given data
     are reported as not applicable instead of being asserted.
     """
-    ida, idv, muv = q.monoid.id, q.idv, q.muv
+    ida, idv = q.monoid.id, q.idv
     nab = q.nabla
     rep = Report()
 
-    base = compose(muv, tensor(ida, q.psi))
+    base = q.mupsi
     mid = check_equal("fi-nab", compose(base, tensor(nab, ida)), base)
     if mid.passed:
         mid = check_equal("fi-nab", base, compose(nab, base))
     rep.add(mid)
 
     twisted = q.twisted.passed
-    sig_part = compose(muv, tensor(ida, q.sigma), tensor(q.psi, idv))
+    sig_part = compose(q.musigma, tensor(q.psi, idv))
     if twisted:
         rep.add(check_equal(
             "c1",
@@ -216,8 +219,8 @@ def check_derived_identities(q: Quadruple) -> Report:
         ))
         rep.add(check_equal(
             "aw",
-            compose(nab, muv, tensor(ida, q.sigma), tensor(nab, idv)),
-            compose(nab, muv, tensor(ida, q.sigma)),
+            compose(nab, q.musigma, tensor(nab, idv)),
+            compose(nab, q.musigma),
         ))
     else:
         note = "requires the twisted condition, which fails on this data"
@@ -232,8 +235,8 @@ def check_derived_identities(q: Quadruple) -> Report:
         ))
         rep.add(check_equal(
             "aw1",
-            compose(muv, tensor(ida, q.sigma), tensor(nab, idv)),
-            compose(muv, tensor(ida, q.sigma)),
+            compose(q.musigma, tensor(nab, idv)),
+            q.musigma,
         ))
     else:
         note = "requires the twisted condition and a normalized sigma"
@@ -248,8 +251,9 @@ class CrossedProduct:
 
     ``obj`` is the split image of ``quad.nabla`` with injection ``inj``
     and projection ``proj``; ``mul`` is the associative product that
-    ``quad.product`` induces on the image.  ``report`` records the
-    defining conditions and the post-construction verifications.
+    ``quad.product`` induces on the image, and ``id`` the identity of
+    the image.  ``report`` records the defining conditions and the
+    post-construction verifications.
     """
 
     quad: Quadruple
@@ -257,6 +261,7 @@ class CrossedProduct:
     inj: FMor
     proj: FMor
     mul: FMor
+    id: FMor
     report: Report
 
     @property
@@ -284,7 +289,7 @@ def build_crossed_product(q: Quadruple) -> CrossedProduct:
     nab, mu_big = q.nabla, q.product
     mul = compose(proj, mu_big, tensor(inj, inj))
 
-    id_av = identity(av, q.field)
+    id_av = q.idav
     rep.add(check_equal(
         "assoc-big",
         compose(mu_big, tensor(mu_big, id_av)),
@@ -307,4 +312,5 @@ def build_crossed_product(q: Quadruple) -> CrossedProduct:
         compose(mul, tensor(idx, mul)),
     ))
     require(rep, "construction postconditions failed")
-    return CrossedProduct(quad=q, obj=obj, inj=inj, proj=proj, mul=mul, report=rep)
+    return CrossedProduct(quad=q, obj=obj, inj=inj, proj=proj, mul=mul,
+                          id=idx, report=rep)

@@ -1,9 +1,13 @@
-"""Shared test helpers: deterministic random matrices and idempotents."""
+"""Shared test helpers: deterministic random matrices and idempotents,
+and the degenerate quadruples on a one-dimensional V."""
 
 import random
 
+from weakcp.fdvect import UNIT, FMor, MonoidData, identity, vobj
 from weakcp.fields import GF, QQ
+from weakcp.iterate import IterSetup
 from weakcp.kernel import Mat, identity_mat, mat_compose, rank, solve_right
+from weakcp.wcp import Quadruple
 
 
 def random_entry(rng, field):
@@ -42,3 +46,35 @@ def random_idempotent(rng, n: int, field) -> Mat:
 
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+def trivial_quadruple(a: MonoidData, vname: str = "K") -> Quadruple:
+    """The quadruple on a one-dimensional V where everything collapses.
+
+    psi is the identity of A (up to the invisible factor) and sigma is
+    the unit of A, so the crossed product of A with this V is A itself.
+    """
+    v = vobj(vname, 1)
+    psi = FMor(v @ a.obj, a.obj @ v, a.id.mat)
+    sigma = FMor(v @ v, a.obj @ v, a.unit.mat)
+    return Quadruple(a, v, psi, sigma)
+
+
+def trivial_extension(q: Quadruple, vname: str = "K") -> IterSetup:
+    """Extend a quadruple by a one-dimensional second factor.
+
+    The combined product on A (x) V (x) K must coincide with the product
+    on A (x) V, which is what the degeneration tests assert.  The first
+    factor must come with a preunit; pass it as ``nu_v`` downstream.
+    """
+    qt = trivial_quadruple(q.monoid, vname)
+    field = q.field
+    vk = q.v @ qt.v
+    delta = identity(vk, field)
+    tau = FMor(qt.v @ q.v, vk, q.idv.mat)
+    return IterSetup(q, qt, delta, tau)
+
+
+def trivial_preunit(q: Quadruple) -> FMor:
+    """The preunit eta_A (x) 1 of a trivial (one-dimensional V) quadruple."""
+    return FMor(UNIT, q.a @ q.v, q.monoid.unit.mat)

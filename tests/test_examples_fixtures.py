@@ -11,7 +11,6 @@ from weakcp.fixtures import (
     check_dp,
     check_triple_formulas,
     check_wdl,
-    check_wdl_derived,
     check_wreath,
     check_yang_baxter,
     cyclic_group_algebra,
@@ -91,7 +90,7 @@ def test_mined_law_is_wdl():
     a, lam = mined_law()
     rep = check_wdl(a, a, lam)
     assert rep.ok, rep.render()
-    rep = check_wdl_derived(a, a, lam)
+    rep = MonoidPair(a, a).check_wdl_derived(lam)
     assert rep.ok, rep.render()
 
 

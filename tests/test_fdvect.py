@@ -38,9 +38,11 @@ def test_obj_dims_and_unit():
     assert (UNIT @ v).factors == v.factors
 
 
-def test_vobj_rejects_nonpositive():
+def test_vobj_accepts_zero_rejects_negative():
+    # the zero space is the split image of a zero idempotent
+    assert vobj("V", 0).dim == 0
     with pytest.raises(ValueError):
-        vobj("V", 0)
+        vobj("V", -1)
 
 
 def test_flatten_index_row_major():

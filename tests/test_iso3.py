@@ -6,15 +6,18 @@ import os
 
 import pytest
 
-from weakcp import cli, fdvect, iso, iterate, preunit, wcp
+from weakcp import cli, fdvect, fixtures, iso, iterate, preunit, wcp
 from weakcp.fdvect import check_monoid, compose, identity
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
+    LawTriple,
     MonoidPair,
     flip_fixture,
+    q_twist,
     quantum_plane_triple,
     skew_group_double,
     triple_setup,
+    truncated_polynomial_algebra,
     wdl_triple_from_law,
 )
 from weakcp.fdvect import tensor
@@ -113,6 +116,93 @@ def test_iso_builds_mu_v_once_per_quadruple(monkeypatch):
     assert sum(whiskers.values()) <= len(quadruples)
     for q in quadruples:
         assert whiskers[id(q.idv.mat)] <= 1
+
+
+def _spy(monkeypatch, name, calls):
+    """Record the arguments of every call to the engine function ``name``,
+    through every module that binds it."""
+    original = getattr(fdvect, name, None) or getattr(preunit, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (fdvect, wcp, preunit, iterate, iso, fixtures):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+
+
+def _asymmetric_triple():
+    """The scale workload's triple over Q: dims 2, 2 and 3, so V != W."""
+    a, b, c = (truncated_polynomial_algebra(n, d, QQ)
+               for n, d in zip("ABC", (2, 2, 3)))
+    t = LawTriple(a, b, c, l1=q_twist(b, a, 2), l2=q_twist(c, b, 2),
+                  l3=q_twist(c, a, 2), weak=False)
+    return t, triple_setup(t)
+
+
+def test_iso_verifies_each_preunit_once(monkeypatch):
+    t, s = _asymmetric_triple()
+    nu_v, nu_w = tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit)
+    systems, axioms = [], []
+    _spy(monkeypatch, "check_pre_system", systems)
+    _spy(monkeypatch, "check_preunit_axioms", axioms)
+    b = build_iso(s, nu_v, nu_w)
+    pairs = {(id(q), id(nu)) for q, nu in (
+        (s.qv, nu_v), (s.qw, nu_w), (s.qvw, b.ucp_vw.nu))}
+    assert sorted((id(q), id(nu)) for q, nu in systems) == sorted(pairs)
+    products = {(id(q.product), id(nu)) for q, nu in (
+        (s.qv, nu_v), (s.qw, nu_w), (s.qvw, b.ucp_vw.nu))}
+    assert sorted((id(m), id(nu)) for m, nu, *_ in axioms) == sorted(products)
+
+
+def test_iso_builds_each_identity_once(monkeypatch):
+    t, s = _asymmetric_triple()
+    nu_v, nu_w = tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit)
+    vw = s.qv.v @ s.qw.v
+    muvw = fdvect.tensor(t.a.mul, identity(vw, QQ)).mat
+    ids, tensors = [], []
+    _spy(monkeypatch, "identity", ids)
+    original = fdvect.mat_tensor
+
+    def spy(f, g):
+        tensors.append(original(f, g))
+        return tensors[-1]
+
+    monkeypatch.setattr(fdvect, "mat_tensor", spy)
+    build_iso(s, nu_v, nu_w)
+    built = collections.Counter(obj.factors for obj, _ in ids)
+    assert built and max(built.values()) == 1, built
+    # A, V, W, V (x) W, the three A (x) ..., the three images and (A x V) x W
+    assert len(built) == 11, sorted(built)
+    assert sum(mat_eq(m, muvw) for m in tensors
+               if (m.rows, m.cols) == (muvw.rows, muvw.cols)) == 1
+
+
+def test_check_wdl_builds_each_whisker_once(monkeypatch):
+    calls = []
+    original = fixtures.tensor
+
+    def spy(*fs):
+        calls.append(fs)
+        return original(*fs)
+
+    loaded = []
+    load = cli.load_workspace
+
+    def keep(*args, **kwargs):
+        loaded.append(load(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(fixtures, "tensor", spy)
+    monkeypatch.setattr(cli, "load_workspace", keep)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        "mined_wdl.json")
+    assert cli.main(["check-wdl", path]) == 0
+    (a,) = loaded[0].monoids.values()
+    whiskers = collections.Counter(
+        fs for fs in calls if fs in ((a.mul, a.id), (a.id, a.mul)))
+    assert whiskers == {(a.mul, a.id): 1, (a.id, a.mul): 1}, whiskers
 
 
 def test_omega_mutual_inverses(double):

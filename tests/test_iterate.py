@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import trivial_extension, trivial_quadruple
 from weakcp.fdvect import identity, swap, tensor
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
@@ -10,8 +11,6 @@ from weakcp.fixtures import (
     quantum_plane_triple,
     skew_group_double,
     triple_setup,
-    trivial_extension,
-    trivial_quadruple,
     wdl_triple_from_law,
 )
 from weakcp.iterate import (

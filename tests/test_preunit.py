@@ -2,13 +2,12 @@
 
 import pytest
 
+from conftest import trivial_preunit, trivial_quadruple
 from weakcp.fdvect import UNIT, check_monoid, compose, identity, tensor
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
     flip_fixture,
     skew_group_double,
-    trivial_preunit,
-    trivial_quadruple,
 )
 from weakcp.kernel import Mat, mat_eq
 from weakcp.preunit import (
@@ -41,13 +40,13 @@ def test_pre_system(preunital):
 
 def test_preunit_axioms_for_product(preunital):
     _, q, nu = preunital
-    item = check_preunit_axioms(q.product, nu)
+    item = check_preunit_axioms(q.product, nu, q.idav)
     assert item.passed is True
 
 
 def test_nu_idempotent_equals_nabla(preunital):
     _, q, nu = preunital
-    assert mat_eq(nabla_nu(q.product, nu).mat, q.nabla.mat)
+    assert mat_eq(nabla_nu(q.product, nu, q.idav).mat, q.nabla.mat)
 
 
 def test_build_unital_monoid(preunital):
