@@ -28,7 +28,6 @@ from weakcp.jsonio import (
     encode_preunit,
     encode_quadruple,
     encode_setup,
-    encode_vector,
 )
 from weakcp.mine import mined_law
 
@@ -62,12 +61,7 @@ def double_workspace(fix, qv_name, qw_name):
 def triple_workspace(t, name):
     """A workspace for a LawTriple: laws plus the induced setup."""
     s = triple_setup(t)
-    if t.weak:
-        nu_v = MonoidPair(t.a, t.b).preunit(t.l1)
-        nu_w = MonoidPair(t.a, t.c).preunit(t.l3)
-    else:
-        nu_v = tensor(t.a.unit, t.b.unit)
-        nu_w = tensor(t.a.unit, t.c.unit)
+    nu_v, nu_w = t.preunits
     monoids = [encode_monoid(t.a)]
     for m in (t.b, t.c):
         if all(m.name != e["name"] for e in monoids):

@@ -41,7 +41,7 @@ from .jsonio import (
 )
 from .kernel import NotIdempotentError, split_idempotent
 from .mine import EXHAUSTIVE_CAP, SearchTooLarge, mine_wdl, mine_wdl_random
-from .preunit import check_pre_system
+from .preunit import Preunit
 from .report import Report, ReportItem, sort_by_registry
 from .wcp import (
     PreconditionError,
@@ -65,6 +65,7 @@ def _guarded(fn) -> Report:
 
 
 def _cmd_check_quadruple(ws: Workspace, args):
+    """defining and derived identities of quadruples"""
     for name, q in ws.quadruples.items():
         rep = check_quadruple(q)
         rep.extend(check_derived_identities(q))
@@ -72,6 +73,7 @@ def _cmd_check_quadruple(ws: Workspace, args):
 
 
 def _cmd_build_wcp(ws: Workspace, args):
+    """build each crossed product and verify associativity"""
     for name, q in ws.quadruples.items():
         extras = {}
 
@@ -84,21 +86,25 @@ def _cmd_build_wcp(ws: Workspace, args):
 
 
 def _cmd_check_preunit(ws: Workspace, args):
+    """preunit system of each declared preunit"""
     for name, (qname, nu) in ws.preunits.items():
-        yield name, check_pre_system(ws.quadruples[qname], nu), {}
+        yield name, Report(list(Preunit(ws.quadruples[qname], nu).system)), {}
 
 
 def _cmd_check_link(ws: Workspace, args):
+    """link-morphism conditions of each setup"""
     for name, s in ws.setups.items():
         yield name, check_link(s), {}
 
 
 def _cmd_check_twisting(ws: Workspace, args):
+    """twisting-morphism conditions of each setup"""
     for name, s in ws.setups.items():
         yield name, check_twisting(s), {}
 
 
 def _cmd_iterate(ws: Workspace, args):
+    """build the combined quadruple of each setup"""
     for name, s in ws.setups.items():
         extras = {}
 
@@ -110,52 +116,42 @@ def _cmd_iterate(ws: Workspace, args):
         yield name, _guarded(build), extras
 
 
-def _setup_preunits(ws: Workspace, name: str):
-    refs = ws.setup_preunits.get(name, (None, None))
-    if None in refs:
-        return None
-    return tuple(ws.preunits[r][1] for r in refs)
-
-
-def _cmd_iterated_preunit(ws: Workspace, args):
+def _preunit_sections(ws: Workspace, label: str, build):
+    """One section per setup: the report of ``build(s, nu_v, nu_w,
+    extras)``, or a ``label`` item skipping a setup with no preunit pair."""
     for name, s in ws.setups.items():
-        nus = _setup_preunits(ws, name)
-        if nus is None:
+        refs = ws.setup_preunits.get(name, (None, None))
+        if None in refs:
             rep = Report([ReportItem(
-                "iterated-preunit", None,
-                note="setup declares no preunit pair; skipped",
-            )])
-            yield name, rep, {}
-            continue
-
-        def build(s=s, nus=nus):
-            _, rep = iterated_preunit(s, *nus)
-            return rep
-
-        yield name, _guarded(build), {}
-
-
-def _cmd_iso(ws: Workspace, args):
-    for name, s in ws.setups.items():
-        nus = _setup_preunits(ws, name)
-        if nus is None:
-            rep = Report([ReportItem(
-                "omega-mult", None,
-                note="setup declares no preunit pair; skipped",
+                label, None, note="setup declares no preunit pair; skipped",
             )])
             yield name, rep, {}
             continue
         extras = {}
+        nus = tuple(ws.preunits[r][1] for r in refs)
+        yield name, _guarded(lambda: build(s, *nus, extras)), extras
 
-        def build(s=s, nus=nus, extras=extras):
-            bundle = build_iso(s, *nus)
-            extras["rank"] = bundle.outer.dim
-            return bundle.report
 
-        yield name, _guarded(build), extras
+def _cmd_iterated_preunit(ws: Workspace, args):
+    """combine the preunits of each setup"""
+    def build(s, nu_v, nu_w, extras):
+        return iterated_preunit(s, Preunit(s.qv, nu_v), Preunit(s.qw, nu_w))[1]
+
+    return _preunit_sections(ws, "iterated-preunit", build)
+
+
+def _cmd_iso(ws: Workspace, args):
+    """verify the two-stage/one-shot monoid isomorphism"""
+    def build(s, nu_v, nu_w, extras):
+        bundle = build_iso(s, nu_v, nu_w)
+        extras["rank"] = bundle.outer.dim
+        return bundle.report
+
+    return _preunit_sections(ws, "omega-mult", build)
 
 
 def _cmd_check_wreath(ws: Workspace, args):
+    """wreath axioms of each declared wreath"""
     for name, refs in ws.wreaths.items():
         a, b = ws.monoids[refs["a"]], ws.monoids[refs["b"]]
         ptr = f"/wreaths/{name}"
@@ -177,11 +173,13 @@ def _law_entries(ws: Workspace):
 
 
 def _cmd_check_dl(ws: Workspace, args):
+    """distributive-law axioms of each declared law"""
     for name, a, b, lam in _law_entries(ws):
         yield name, check_distributive_law(a, b, lam), {}
 
 
 def _cmd_check_wdl(ws: Workspace, args):
+    """weak distributive-law axioms and derived identities"""
     for name, a, b, lam in _law_entries(ws):
         pair = MonoidPair(a, b)
         rep = pair.check_wdl(lam)
@@ -191,6 +189,7 @@ def _cmd_check_wdl(ws: Workspace, args):
 
 
 def _cmd_check_brz(ws: Workspace, args):
+    """unitality axioms of each declared unital quadruple"""
     for name, refs in ws.brz.items():
         q = ws.quadruples[refs["quadruple"]]
         eta_v = workspace_morphism(ws, refs["eta_v"], UNIT, q.v,
@@ -199,6 +198,7 @@ def _cmd_check_brz(ws: Workspace, args):
 
 
 def _cmd_check_dp(ws: Workspace, args):
+    """iterated unitality axioms of each declared pair"""
     for name, refs in ws.dp.items():
         s = ws.setups[refs["setup"]]
         ptr = f"/dp/{name}"
@@ -210,6 +210,7 @@ def _cmd_check_dp(ws: Workspace, args):
 
 
 def _cmd_split_idempotent(ws: Workspace, args):
+    """split each declared square morphism"""
     for name, m in ws.morphisms.items():
         if m.rows != m.cols:
             rep = Report([ReportItem(
@@ -379,24 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE",
                        help="write the report to FILE instead of stdout")
 
-    descriptions = {
-        "check-quadruple": "defining and derived identities of quadruples",
-        "build-wcp": "build each crossed product and verify associativity",
-        "check-preunit": "preunit system of each declared preunit",
-        "check-link": "link-morphism conditions of each setup",
-        "check-twisting": "twisting-morphism conditions of each setup",
-        "iterate": "build the combined quadruple of each setup",
-        "iterated-preunit": "combine the preunits of each setup",
-        "iso": "verify the two-stage/one-shot monoid isomorphism",
-        "check-wreath": "wreath axioms of each declared wreath",
-        "check-dl": "distributive-law axioms of each declared law",
-        "check-wdl": "weak distributive-law axioms and derived identities",
-        "check-brz": "unitality axioms of each declared unital quadruple",
-        "check-dp": "iterated unitality axioms of each declared pair",
-        "split-idempotent": "split each declared square morphism",
-    }
-    for name, help_text in descriptions.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("file", help="workspace JSON file")
         common(p)
 

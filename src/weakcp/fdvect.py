@@ -201,6 +201,16 @@ def check_equal(label: str, lhs: FMor, rhs: FMor, note: str = "") -> ReportItem:
     )
 
 
+def check_equal_all(label: str, *comparisons) -> ReportItem:
+    """Run the ``(lhs, rhs, note)`` comparisons of one label in order:
+    the first failing item, or one passed item with no note."""
+    for lhs, rhs, note in comparisons:
+        item = check_equal(label, lhs, rhs, note=note)
+        if not item.passed:
+            return item
+    return ReportItem(label, True)
+
+
 @dataclass(frozen=True)
 class MonoidData:
     """A finite-dimensional associative unital algebra.

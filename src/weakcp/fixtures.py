@@ -15,10 +15,10 @@ from functools import cached_property
 
 from .fdvect import (
     FMor,
-    FObj,
     MonoidData,
     UNIT,
     check_equal,
+    check_equal_all,
     compose,
     identity,
     monoid_from_structure,
@@ -31,6 +31,7 @@ from .fdvect import (
 from .fields import GF, QQ
 from .iterate import IterSetup, iterated_preunit, twisting_sides
 from .kernel import mat_eq
+from .preunit import Preunit
 from .report import Report, ReportItem
 from .wcp import Quadruple
 
@@ -153,15 +154,11 @@ class MonoidPair:
         sig = self.sigma(lam)
         rep = Report()
         mid = compose(nab, tensor(a.unit, b.mul))
-        item = check_equal("equ-idem", sig, mid, note="first equality")
-        if item.passed:
-            item = check_equal(
-                "equ-idem", mid, compose(lam, tensor(b.mul, a.unit)),
-                note="second equality",
-            )
-        if item.passed:
-            item = ReportItem("equ-idem", True)
-        rep.add(item)
+        rep.add(check_equal_all(
+            "equ-idem",
+            (sig, mid, "first equality"),
+            (mid, compose(lam, tensor(b.mul, a.unit)), "second equality"),
+        ))
         rep.add(check_equal(
             "new-nabla",
             compose(self.a_mub, tensor(lam, idb), tensor(idb, nab)),
@@ -230,14 +227,12 @@ def check_wreath(a: MonoidData, b: MonoidData, lam: FMor, tau: FMor, v: FMor) ->
         compose(muab, tensor(ida, v), tensor(v, idb)),
         compose(muab, tensor(ida, v), tensor(lam, idb), tensor(idb, v)),
     ))
-    left = compose(muab, tensor(ida, v), tensor(tau, idb))
-    right = compose(muab, tensor(ida, v), tensor(lam, idb), tensor(idb, tau))
-    item = check_equal("W6", left, target, note="left half")
-    if item.passed:
-        item = check_equal("W6", target, right, note="right half")
-    if item.passed:
-        item = ReportItem("W6", True)
-    rep.add(item)
+    rep.add(check_equal_all(
+        "W6",
+        (compose(muab, tensor(ida, v), tensor(tau, idb)), target, "left half"),
+        (target, compose(muab, tensor(ida, v), tensor(lam, idb),
+                         tensor(idb, tau)), "right half"),
+    ))
     return rep
 
 
@@ -297,6 +292,16 @@ class LawTriple:
     l3: FMor  # C (x) A -> A (x) C
     weak: bool  # True: weak distributive laws; False: honest ones
 
+    @property
+    def preunits(self) -> tuple:
+        """(nu_V, nu_W): nabla o (eta (x) eta) for weak laws, eta (x) eta
+        for honest ones."""
+        a, b, c = self.a, self.b, self.c
+        if self.weak:
+            return (MonoidPair(a, b).preunit(self.l1),
+                    MonoidPair(a, c).preunit(self.l3))
+        return tensor(a.unit, b.unit), tensor(a.unit, c.unit)
+
 
 def triple_setup(t: LawTriple) -> IterSetup:
     """The iteration data induced by a triple of (weak) laws.
@@ -330,7 +335,6 @@ def check_triple_formulas(t: LawTriple) -> Report:
     rep.add(check_yang_baxter(a, b, c, t.l1, t.l2, t.l3))
 
     if t.weak:
-        ab = MonoidPair(a, b)
         nab_bc = MonoidPair(b, c).nabla(t.l2)
         psi_closed = compose(tensor(t.l1, idc), tensor(idb, t.l3),
                              tensor(nab_bc, ida))
@@ -339,7 +343,7 @@ def check_triple_formulas(t: LawTriple) -> Report:
             tensor(b.mul, t.l3, idc),
             tensor(idb, t.l2, a.unit, idc),
         )
-        nab_ab = ab.nabla(t.l1)
+        nab_ab = MonoidPair(a, b).nabla(t.l1)
         mu_closed = compose(
             tensor(a.mul, b.mul, c.mul),
             tensor(ida, compose(
@@ -348,8 +352,6 @@ def check_triple_formulas(t: LawTriple) -> Report:
                 tensor(nab_bc, nab_ab),
             ), idc),
         )
-        nu_v = ab.preunit(t.l1)
-        nu_w = MonoidPair(a, c).preunit(t.l3)
         nu_closed = compose(
             tensor(t.l1, idc), tensor(idb, t.l3), tensor(t.l2, ida),
             tensor(c.unit, b.unit, a.unit),
@@ -367,8 +369,6 @@ def check_triple_formulas(t: LawTriple) -> Report:
                 tensor(idb, t.l3, idb),
             ), idc),
         )
-        nu_v = tensor(a.unit, b.unit)
-        nu_w = tensor(a.unit, c.unit)
         nu_closed = tensor(a.unit, b.unit, c.unit)
 
     rep.add(check_equal("falso-idemp2", qvw.psi, FMor(
@@ -380,9 +380,10 @@ def check_triple_formulas(t: LawTriple) -> Report:
     rep.add(check_equal("product1", qvw.product, FMor(
         qvw.product.dom, qvw.product.cod, mu_closed.mat
     ), note="closed form"))
-    nu_vw, _ = iterated_preunit(s, nu_v, nu_w)
-    rep.add(check_equal("iterated-preunit", nu_vw, FMor(
-        nu_vw.dom, nu_vw.cod, nu_closed.mat
+    nu_v, nu_w = t.preunits
+    pre, _ = iterated_preunit(s, Preunit(s.qv, nu_v), Preunit(s.qw, nu_w))
+    rep.add(check_equal("iterated-preunit", pre.nu, FMor(
+        pre.nu.dom, pre.nu.cod, nu_closed.mat
     ), note="closed form"))
     return rep
 
@@ -407,17 +408,12 @@ def check_brzezinski(q: Quadruple, eta_v: FMor) -> Report:
         "brz2", compose(q.psi, tensor(idv, q.monoid.unit)),
         tensor(q.monoid.unit, idv),
     ))
-    left = compose(q.sigma, tensor(eta_v, idv))
     target = tensor(q.monoid.unit, idv)
-    item = check_equal("brz3", left, target, note="left half")
-    if item.passed:
-        item = check_equal(
-            "brz3", compose(q.sigma, tensor(idv, eta_v)), target,
-            note="right half",
-        )
-    if item.passed:
-        item = ReportItem("brz3", True)
-    rep.add(item)
+    rep.add(check_equal_all(
+        "brz3",
+        (compose(q.sigma, tensor(eta_v, idv)), target, "left half"),
+        (compose(q.sigma, tensor(idv, eta_v)), target, "right half"),
+    ))
     rep.add(check_equal(
         "idem-wcp", q.nabla, q.idav,
         note="trivial idempotent",
@@ -618,7 +614,7 @@ def skew_group_double(field=GF(3)) -> DoubleFixture:
     return DoubleFixture("skew-group", s, nu_v, nu_w)
 
 
-def wdl_triple_from_law(a: MonoidData, lam: FMor, name: str = "mined") -> LawTriple:
+def wdl_triple_from_law(a: MonoidData, lam: FMor) -> LawTriple:
     """A law triple using one weak distributive law for all three slots.
 
     Requires the law to be compatible with itself under the hexagon

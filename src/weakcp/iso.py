@@ -31,7 +31,7 @@ from .fdvect import (
 )
 from .kernel import split_idempotent
 from .iterate import IterSetup, build_iterated, iterated_preunit
-from .preunit import UnitalCrossedProduct, build_unital, check_pre_system
+from .preunit import Preunit, UnitalCrossedProduct, build_unital
 from .report import Report, ReportItem
 from .wcp import build_crossed_product, require
 
@@ -86,29 +86,27 @@ class IsoBundle:
 def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     """Build both iterated monoids and verify that omega is an isomorphism.
 
-    Stages, each verified before the next: the combined quadruple; the
-    combined preunit, where :func:`~weakcp.iterate.iterated_preunit`
-    verifies the preunit axioms of all three preunits and the combined
-    one's preunit system; the three unital crossed products, where the
-    preunit systems of nu_v and nu_w are verified as A x V and A x W are
-    built (each preunit identity is verified once); the three extra
-    identities; the embedding of A x V (a monoid morphism) and the
-    restricted idempotent on (A x V) (x) W (idempotent and linear over
-    A x V); omega and its inverse from the splitting of that idempotent;
-    and the monoid (A x V) x W, with omega a monoid isomorphism onto
-    A x (V (x) W) and the two sides of equal dimension.
+    Each of nu_v, nu_w and the combined preunit has one
+    :class:`~weakcp.preunit.Preunit` owner, which verifies each of its
+    identities once and keeps its nabla and beta.  Stages, each verified
+    before the next: the combined quadruple; the combined preunit, where
+    :func:`~weakcp.iterate.iterated_preunit` requires the preunit axioms
+    of nu_v and nu_w and verifies the combined preunit; the three unital
+    crossed products A x (V (x) W), A x V and A x W, where
+    :func:`~weakcp.preunit.build_unital` requires each preunit's axioms
+    and system; the three extra identities; the embedding of A x V (a
+    monoid morphism) and the restricted idempotent on (A x V) (x) W
+    (idempotent and linear over A x V); omega and its inverse from the
+    splitting of that idempotent; and the monoid (A x V) x W, with omega
+    a monoid isomorphism onto A x (V (x) W) and the two sides of equal
+    dimension.
     """
     idw = s.qw.idv
-
-    def factor(q, nu):
-        cp = build_crossed_product(q)
-        require(check_pre_system(q, nu), "preunit system fails")
-        return build_unital(cp, nu)
-
+    pre_v, pre_w = Preunit(s.qv, nu_v), Preunit(s.qw, nu_w)
     qvw, _ = build_iterated(s)
-    nu_vw, _ = iterated_preunit(s, nu_v, nu_w)
-    ucp_vw = build_unital(build_crossed_product(qvw), nu_vw)
-    ucp_v, ucp_w = factor(s.qv, nu_v), factor(s.qw, nu_w)
+    pre_vw, _ = iterated_preunit(s, pre_v, pre_w)
+    ucp_vw, ucp_v, ucp_w = (build_unital(build_crossed_product(pre.quad), pre)
+                            for pre in (pre_vw, pre_v, pre_w))
     cp_v, cp_vw = ucp_v.cp, ucp_vw.cp
 
     rep = require(check_newit(s, nu_v, nu_w), "extra identities fail")
@@ -148,7 +146,7 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     proj_big = compose(proj, proj_w)  # A (x) V (x) W -> (A x V) x W
     outer = MonoidData(outer_obj.factors[0][0], outer_obj,
                        compose(proj, mu_mid, tensor(inj, inj)),
-                       compose(proj_big, nu_vw))
+                       compose(proj_big, pre_vw.nu))
 
     omega = compose(cp_vw.proj, inj_w, inj)
     omega_inv = compose(proj_big, cp_vw.inj)

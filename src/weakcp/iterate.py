@@ -10,13 +10,13 @@ checking every hypothesis and every claimed consequence along the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .fdvect import FMor, check_equal, compose, tensor
-from .preunit import check_pre_system, check_preunit_axioms
+from .preunit import Preunit
 from .report import Report
-from .wcp import PreconditionError, Quadruple, check_quadruple, require
+from .wcp import Quadruple, check_quadruple, require
 
 
 @dataclass(frozen=True)
@@ -209,28 +209,26 @@ def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> R
     return rep
 
 
-def iterated_preunit(s: IterSetup, nu_v: FMor, nu_w: FMor):
+def iterated_preunit(s: IterSetup, pre_v: Preunit, pre_w: Preunit):
     """Combine preunits of the two factors into one for V (x) W.
 
     nu = nabla o (mu (x) V (x) W) o (A (x) psi_V (x) W) o (nu_V (x) nu_W).
-    Verifies the preunit axioms of nu_V and nu_W, the two hypotheses, and
-    the preunit axioms and preunit system of nu; the factors' preunit
-    systems are left to :func:`weakcp.iso.build_iso`.  Returns (nu, report).
+    Requires the preunit axioms of ``pre_v`` and ``pre_w``, which they
+    keep, then checks the two hypotheses, and reports the combined
+    preunit's kept axioms item, relabelled ``iterated-preunit``, and its
+    preunit system.  Returns (the combined Preunit, report).
     """
-    for q, nu, tag in ((s.qv, nu_v, "first"), (s.qw, nu_w, "second")):
-        chk = check_preunit_axioms(q.product, nu, q.idav, label="preunit")
-        if not chk.passed:
-            raise PreconditionError(
-                f"the {tag} preunit is not a preunit for its product",
-                Report([chk]),
-            )
-    rep = require(check_iterated_preunit_hypotheses(s, nu_v, nu_w),
+    if pre_v.quad is not s.qv or pre_w.quad is not s.qw:
+        raise ValueError("the preunits must belong to the setup's quadruples")
+    for pre, tag in ((pre_v, "first"), (pre_w, "second")):
+        require(Report([pre.axioms]),
+                f"the {tag} preunit is not a preunit for its product")
+    rep = require(check_iterated_preunit_hypotheses(s, pre_v.nu, pre_w.nu),
                   "iterated preunit hypotheses fail")
     qvw = s.qvw
-    raw = compose(qvw.nabla, s.mupsi_w, tensor(nu_v, nu_w))
-    nu_vw = FMor(raw.dom, qvw.a @ qvw.v, raw.mat)
-    rep.add(check_preunit_axioms(qvw.product, nu_vw, qvw.idav,
-                                 label="iterated-preunit"))
-    rep.extend(check_pre_system(qvw, nu_vw))
+    raw = compose(qvw.nabla, s.mupsi_w, tensor(pre_v.nu, pre_w.nu))
+    pre = Preunit(qvw, FMor(raw.dom, qvw.a @ qvw.v, raw.mat))
+    rep.add(replace(pre.axioms, label="iterated-preunit"))
+    rep.items.extend(pre.system)
     require(rep, "iterated preunit fails verification")
-    return nu_vw, rep
+    return pre, rep

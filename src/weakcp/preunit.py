@@ -2,21 +2,24 @@
 
 A preunit is a map nu : K -> A (x) V that plays the role of a unit for the
 crossed-product multiplication on A (x) V even though A (x) V itself is
-not a monoid; it induces a genuine unit on the split image.  This module
-decides the preunit system for a quadruple, builds the resulting monoid,
-and runs the converse direction: recovering (psi, sigma) from an abstract
-associative product with preunit.
+not a monoid; it induces a genuine unit on the split image.  A
+:class:`Preunit` owns one (quadruple, preunit) pair and decides its
+preunit axioms and preunit system once.  This module builds the resulting
+monoid and runs the converse direction: recovering (psi, sigma) from an
+abstract associative product with preunit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fdvect import (
     FMor,
     FObj,
     MonoidData,
     check_equal,
+    check_equal_all,
     compose,
     identity,
     tensor,
@@ -25,57 +28,64 @@ from .report import Report, ReportItem
 from .wcp import CrossedProduct, PreconditionError, Quadruple, require
 
 
-def beta_nu(q: Quadruple, nu: FMor) -> FMor:
-    """beta = (mu (x) V) o (A (x) nu) : A -> A (x) V."""
-    return compose(q.muv, tensor(q.monoid.id, nu))
+def check_preunit_axioms(m: FMor, nu: FMor, id_av: FMor, nab: FMor) -> ReportItem:
+    """nu is a preunit for m: right absorption ``nab`` = m o (id_av (x) nu)
+    equals left absorption and absorption of nu*nu.  ``id_av`` is the
+    identity of m's codomain."""
+    return check_equal_all(
+        "preunit",
+        (nab, compose(m, tensor(nu, id_av)), "right vs left"),
+        (nab, compose(m, tensor(id_av, compose(m, tensor(nu, nu)))),
+         "vs squared preunit"),
+    )
 
 
-def nabla_nu(m: FMor, nu: FMor, id_av: FMor) -> FMor:
-    """The idempotent m o (A (x) V (x) nu) induced by a preunit, where
-    ``id_av`` is the identity of the codomain A (x) V of m."""
-    if m.dom.dim != m.cod.dim * m.cod.dim:
-        raise ValueError("product must be a binary operation on its codomain")
-    return compose(m, tensor(id_av, nu))
+@dataclass(frozen=True)
+class Preunit:
+    """A candidate preunit nu : K -> A (x) V of the quadruple ``quad``.
 
+    ``nabla`` = mu_{A(x)V} o (A (x) V (x) nu), ``beta`` =
+    (mu (x) V) o (A (x) nu) : A -> A (x) V, the item ``axioms`` (nu is a
+    preunit for ``quad.product``) and the items ``system`` of the preunit
+    system are built on first use and then kept, so each is built and
+    verified once.  Callers copy the items into reports of their own.
+    """
 
-def check_preunit_axioms(m: FMor, nu: FMor, id_av: FMor,
-                         label: str = "preunit") -> ReportItem:
-    """nu is a preunit for m: right and left absorption agree and equal
-    absorption of nu*nu.  ``id_av`` is the identity of m's codomain."""
-    right = nabla_nu(m, nu, id_av)
-    left = compose(m, tensor(nu, id_av))
-    square = compose(m, tensor(id_av, compose(m, tensor(nu, nu))))
-    item = check_equal(label, right, left, note="right vs left")
-    if item.passed:
-        item = check_equal(label, right, square, note="vs squared preunit")
-    if item.passed:
-        item = ReportItem(label, True)
-    return item
+    quad: Quadruple
+    nu: FMor
 
+    @cached_property
+    def nabla(self) -> FMor:
+        return compose(self.quad.product, tensor(self.quad.idav, self.nu))
 
-def check_pre_system(q: Quadruple, nu: FMor) -> Report:
-    """The three compatibility equations tying nu to (psi, sigma)."""
-    ida, idv = q.monoid.id, q.idv
-    nab = q.nabla
-    target = compose(nab, tensor(q.monoid.unit, idv))
-    rep = Report()
-    rep.add(check_equal(
-        "pre1-wcp",
-        compose(q.musigma, tensor(q.psi, idv), tensor(idv, nu)),
-        target,
-    ))
-    rep.add(check_equal(
-        "pre2-wcp",
-        compose(q.musigma, tensor(nu, idv)),
-        target,
-    ))
-    rep.add(check_equal(
-        "pre3-wcp",
-        compose(q.mupsi, tensor(nu, ida)),
-        beta_nu(q, nu),
-    ))
-    rep.add(check_equal("preunit-idemp", compose(nab, nu), nu))
-    return rep
+    @cached_property
+    def beta(self) -> FMor:
+        return compose(self.quad.muv, tensor(self.quad.monoid.id, self.nu))
+
+    @cached_property
+    def axioms(self) -> ReportItem:
+        q = self.quad
+        return check_preunit_axioms(q.product, self.nu, q.idav, self.nabla)
+
+    @cached_property
+    def system(self) -> tuple:
+        """The three compatibility equations tying nu to (psi, sigma),
+        and ``quad.nabla`` o nu = nu."""
+        q, nu = self.quad, self.nu
+        idv, nab = q.idv, q.nabla
+        target = compose(nab, tensor(q.monoid.unit, idv))
+        return (
+            check_equal(
+                "pre1-wcp",
+                compose(q.musigma, tensor(q.psi, idv), tensor(idv, nu)),
+                target,
+            ),
+            check_equal("pre2-wcp", compose(q.musigma, tensor(nu, idv)), target),
+            check_equal(
+                "pre3-wcp", compose(q.mupsi, tensor(nu, q.monoid.id)), self.beta
+            ),
+            check_equal("preunit-idemp", compose(nab, nu), nu),
+        )
 
 
 @dataclass(frozen=True)
@@ -83,29 +93,33 @@ class UnitalCrossedProduct:
     """A weak crossed product with preunit: a monoid on the split image."""
 
     cp: CrossedProduct
-    nu: FMor
+    pre: Preunit
     unit: FMor
     monoid: MonoidData
     report: Report
 
 
-def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
-    """Extend a built crossed product to a monoid by a verified preunit.
+def build_unital(cp: CrossedProduct, pre: Preunit) -> UnitalCrossedProduct:
+    """Extend a built crossed product to a monoid by a preunit of its
+    quadruple.
 
-    The caller has verified nu's preunit system for ``cp.quad`` and its
-    preunit axioms for ``cp.quad.product``; in ``iso`` these are checks
-    of :func:`~weakcp.iterate.iterated_preunit` and
-    :func:`~weakcp.iso.build_iso`.  This checks what follows from them:
-    the idempotents of psi and of nu coincide, the induced unit is a unit
-    on the image (associativity there is ``cp``'s own ``assoc`` check),
-    and beta transported to the image is a monoid morphism.
+    Requires ``pre``'s preunit axioms, then its preunit system; ``pre``
+    verifies each once and keeps it, so a preunit that its caller has
+    already verified costs nothing here.  Then checks what follows from
+    them: the idempotents of psi and of nu coincide, the induced unit is
+    a unit on the image (associativity there is ``cp``'s own ``assoc``
+    check), and beta transported to the image is a monoid morphism.
     """
     q = cp.quad
-    unit = compose(cp.proj, nu)
+    if pre.quad is not q:
+        raise ValueError("the preunit belongs to another quadruple")
+    require(Report([pre.axioms]), "not a preunit for its product")
+    require(Report(list(pre.system)), "preunit system fails")
+    unit = compose(cp.proj, pre.nu)
     axv = MonoidData(cp.obj.factors[0][0], cp.obj, cp.mul, unit)
 
     rep = Report()
-    rep.add(check_equal("nu-nabla", nabla_nu(q.product, nu, q.idav), q.nabla))
+    rep.add(check_equal("nu-nabla", pre.nabla, q.nabla))
     idx = cp.id
     rep.add(check_equal(
         "product-unit-left", compose(cp.mul, tensor(unit, idx)), idx
@@ -114,9 +128,9 @@ def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
         "product-unit-right", compose(cp.mul, tensor(idx, unit)), idx
     ))
 
-    beta = beta_nu(q, nu)
+    beta = pre.beta
     beta_mu = compose(beta, q.monoid.mul)
-    rep.add(check_equal("beta-eta", compose(beta, q.monoid.unit), nu))
+    rep.add(check_equal("beta-eta", compose(beta, q.monoid.unit), pre.nu))
     rep.add(check_equal(
         "beta-mult", compose(q.product, tensor(beta, beta)), beta_mu
     ))
@@ -133,7 +147,7 @@ def build_unital(cp: CrossedProduct, nu: FMor) -> UnitalCrossedProduct:
     ))
     rep.add(check_equal("beta-bar-unit", compose(beta_bar, q.monoid.unit), unit))
     require(rep, "unital construction postconditions failed")
-    return UnitalCrossedProduct(cp=cp, nu=nu, unit=unit, monoid=axv, report=rep)
+    return UnitalCrossedProduct(cp=cp, pre=pre, unit=unit, monoid=axv, report=rep)
 
 
 def derive_psi_sigma(a: MonoidData, v: FObj, m: FMor, nu: FMor):
@@ -161,8 +175,8 @@ def derive_psi_sigma(a: MonoidData, v: FObj, m: FMor, nu: FMor):
         compose(m, tensor(muv, id_av)),
         compose(muv, tensor(ida, m)),
     ))
-    hyp.add(check_preunit_axioms(m, nu, id_av))
-    nab = nabla_nu(m, nu, id_av)
+    nab = compose(m, tensor(id_av, nu))
+    hyp.add(check_preunit_axioms(m, nu, id_av, nab))
     hyp.add(check_equal("product-normal-left", compose(nab, m), m))
     hyp.add(check_equal(
         "product-normal-right", compose(m, tensor(nab, nab)), m

@@ -17,6 +17,7 @@ from .fdvect import (
     FObj,
     MonoidData,
     check_equal,
+    check_equal_all,
     compose,
     identity,
     tensor,
@@ -204,10 +205,11 @@ def check_derived_identities(q: Quadruple) -> Report:
     rep = Report()
 
     base = q.mupsi
-    mid = check_equal("fi-nab", compose(base, tensor(nab, ida)), base)
-    if mid.passed:
-        mid = check_equal("fi-nab", base, compose(nab, base))
-    rep.add(mid)
+    rep.add(check_equal_all(
+        "fi-nab",
+        (compose(base, tensor(nab, ida)), base, ""),
+        (base, compose(nab, base), ""),
+    ))
 
     twisted = q.twisted.passed
     sig_part = compose(q.musigma, tensor(q.psi, idv))

@@ -16,7 +16,6 @@ from conftest import (
     trivial_extension,
     trivial_quadruple,
 )
-from weakcp.fdvect import tensor
 from weakcp.fields import GF, QQ, PrimeField
 from weakcp.fixtures import (
     MonoidPair,
@@ -32,7 +31,8 @@ from weakcp.iso import build_iso, check_newit
 from weakcp.iterate import build_iterated, check_link, iterated_preunit
 from weakcp.kernel import identity_mat, mat_compose, mat_eq, rank
 from weakcp.mine import mine_wdl, mined_law
-from weakcp.preunit import check_pre_system, derive_psi_sigma, nabla_nu
+from weakcp.preunit import Preunit, derive_psi_sigma
+from weakcp.report import Report
 from weakcp.wcp import build_crossed_product, check_derived_identities
 
 
@@ -41,12 +41,10 @@ def battery():
     yield ("flip-Q",) + _fix(flip_fixture(QQ, "flip-Q"))
     yield ("flip-F3",) + _fix(flip_fixture(GF(3), "flip-F3"))
     t = quantum_plane_triple()
-    yield ("quantum-plane-F5", triple_setup(t),
-           tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit))
+    yield ("quantum-plane-F5", triple_setup(t), *t.preunits)
     yield ("skew-group-F3",) + _fix(skew_group_double(GF(3)))
-    a, lam = mined_law()
-    nu = MonoidPair(a, a).preunit(lam)
-    yield ("mined-wdl-F2", triple_setup(wdl_triple_from_law(a, lam)), nu, nu)
+    t = wdl_triple_from_law(*mined_law())
+    yield ("mined-wdl-F2", triple_setup(t), *t.preunits)
 
 
 def _fix(fix):
@@ -80,11 +78,12 @@ def test_criterion_2_iterated_preunits():
     idempotent as the combined entwining, on all five fixtures."""
     for name, s, nu_v, nu_w in BATTERY:
         qvw = s.qvw
-        nu_vw, rep = iterated_preunit(s, nu_v, nu_w)
+        pre, rep = iterated_preunit(s, Preunit(s.qv, nu_v), Preunit(s.qw, nu_w))
         assert rep.ok, f"{name}: {rep.failed_labels()}"
-        sys_rep = check_pre_system(qvw, nu_vw)
+        assert pre.quad is qvw, name
+        sys_rep = Report(list(pre.system))
         assert sys_rep.ok, f"{name}: {sys_rep.failed_labels()}"
-        assert mat_eq(nabla_nu(qvw.product, nu_vw, qvw.idav).mat, qvw.nabla.mat), name
+        assert mat_eq(pre.nabla.mat, qvw.nabla.mat), name
     report_line(2, "combined preunits verified on 5 fixtures")
 
 
@@ -208,7 +207,8 @@ def test_criterion_7_derived_identity_regression():
             for label in ("otra-prop", "vieja-proof"):
                 assert cp.report[label].passed is True, f"{name}: {label}"
         for q, nu in ((s.qv, nu_v), (s.qw, nu_w)):
-            assert check_pre_system(q, nu)["preunit-idemp"].passed is True, name
+            system = Report(list(Preunit(q, nu).system))
+            assert system["preunit-idemp"].passed is True, name
         assert check_link(s)["falso-idemp-link"].passed is True, name
     a, lam = mined_law()
     wdl_rep = check_wdl(a, a, lam)
@@ -225,8 +225,8 @@ def test_criterion_8_round_trip():
     count = 0
     for name, s, nu_v, nu_w in BATTERY:
         pairs = [(s.qv, nu_v), (s.qw, nu_w)]
-        nu_vw, _ = iterated_preunit(s, nu_v, nu_w)
-        pairs.append((s.qvw, nu_vw))
+        pre, _ = iterated_preunit(s, Preunit(s.qv, nu_v), Preunit(s.qw, nu_w))
+        pairs.append((s.qvw, pre.nu))
         for q, nu in pairs:
             m = q.product
             q2, rep = derive_psi_sigma(q.monoid, q.v, m, nu)

@@ -193,15 +193,46 @@ def test_workspace_string_prime_exits_2(capsys, tmp_path):
 
 
 def test_iterated_preunit_skips_without_preunits(capsys, tmp_path):
-    # a workspace whose setup declares no preunit pair is skipped, not failed
+    # a workspace whose setup declares no preunit pair is skipped, not
+    # failed, by iterated-preunit and by iso
     with open(fx("flip_triple.json")) as fh:
         obj = json.load(fh)
     for key in ("nu_first", "nu_second"):
         del obj["setups"][0][key]
     path = tmp_path / "nopre.json"
     path.write_text(json.dumps(obj))
-    assert main(["iterated-preunit", str(path)]) == 0
-    assert "skipped" in capsys.readouterr().out
+    for cmd, label in (("iterated-preunit", "iterated-preunit"),
+                       ("iso", "omega-mult")):
+        assert main([cmd, str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"== flip ==\n{label}: n/a "
+            "(setup declares no preunit pair; skipped)\nresult: ok\n")
+
+
+def test_help_lists_each_subcommand_once(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listing = out[out.index("    check-quadruple"):].split("\n\n")[0]
+    assert listing.splitlines() == [
+        "    check-quadruple     defining and derived identities of quadruples",
+        "    build-wcp           build each crossed product and verify associativity",
+        "    check-preunit       preunit system of each declared preunit",
+        "    check-link          link-morphism conditions of each setup",
+        "    check-twisting      twisting-morphism conditions of each setup",
+        "    iterate             build the combined quadruple of each setup",
+        "    iterated-preunit    combine the preunits of each setup",
+        "    iso                 verify the two-stage/one-shot monoid isomorphism",
+        "    check-wreath        wreath axioms of each declared wreath",
+        "    check-dl            distributive-law axioms of each declared law",
+        "    check-wdl           weak distributive-law axioms and derived identities",
+        "    check-brz           unitality axioms of each declared unital quadruple",
+        "    check-dp            iterated unitality axioms of each declared pair",
+        "    split-idempotent    split each declared square morphism",
+        "    mine-wdl            search for weak distributive laws",
+    ]
 
 
 def test_entry_point_installed():

@@ -13,6 +13,7 @@ from weakcp.fdvect import (
     MonoidData,
     UNIT,
     check_equal,
+    check_equal_all,
     check_monoid,
     compose,
     flatten_index,
@@ -110,6 +111,23 @@ def test_check_equal_witness_coordinates():
     assert item.witness.basis_index == (1, 0)
     assert item.witness.coordinate == (1,)
     assert item.witness.lhs == "0" and item.witness.rhs == "1"
+
+
+def test_check_equal_all_outcomes():
+    v = vobj("V", 2)
+    f = mor(v @ v, v, [[1, 0, 0, 0], [0, 0, 0, 1]], QQ)
+    g = mor(v @ v, v, [[1, 0, 0, 0], [0, 0, 1, 1]], QQ)
+    # the first comparison fails: its note and witness are kept
+    item = check_equal_all("demo", (f, g, "first"), (f, f, "second"))
+    assert item == check_equal("demo", f, g, note="first")
+    assert item.witness.basis_index == (1, 0)
+    # only the second comparison fails
+    item = check_equal_all("demo", (f, f, "first"), (g, f, "second"))
+    assert item == check_equal("demo", g, f, note="second")
+    assert item.passed is False and item.witness.lhs == "1"
+    # both pass: one item with no note
+    item = check_equal_all("demo", (f, f, "first"), (g, g, "second"))
+    assert (item.passed, item.note, item.witness) == (True, "", None)
 
 
 def test_check_equal_shape_mismatch_raises():

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import os
 
 import pytest
@@ -11,7 +12,6 @@ from weakcp.fdvect import check_monoid, compose, identity
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
     LawTriple,
-    MonoidPair,
     flip_fixture,
     q_twist,
     quantum_plane_triple,
@@ -31,11 +31,9 @@ def all_doubles():
                 skew_group_double(GF(3))):
         yield fix.name, fix.setup, fix.nu_v, fix.nu_w
     t = quantum_plane_triple()
-    yield "quantum-plane", triple_setup(t), \
-        tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit)
-    a, lam = mined_law()
-    nu = MonoidPair(a, a).preunit(lam)
-    yield "mined-577", triple_setup(wdl_triple_from_law(a, lam)), nu, nu
+    yield "quantum-plane", triple_setup(t), *t.preunits
+    t = wdl_triple_from_law(*mined_law())
+    yield "mined-577", triple_setup(t), *t.preunits
 
 
 @pytest.fixture(params=list(all_doubles()), ids=lambda t: t[0])
@@ -143,22 +141,36 @@ def _asymmetric_triple():
 
 def test_iso_verifies_each_preunit_once(monkeypatch):
     t, s = _asymmetric_triple()
-    nu_v, nu_w = tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit)
-    systems, axioms = [], []
-    _spy(monkeypatch, "check_pre_system", systems)
+    nu_v, nu_w = t.preunits
+    systems, axioms, tensors = [], [], []
+    original = preunit.Preunit.system
+
+    def system(pre):
+        systems.append(pre)
+        return original.func(pre)
+
+    kept = functools.cached_property(system)
+    kept.__set_name__(preunit.Preunit, "system")
+    monkeypatch.setattr(preunit.Preunit, "system", kept)
     _spy(monkeypatch, "check_preunit_axioms", axioms)
+    _spy(monkeypatch, "tensor", tensors)
     b = build_iso(s, nu_v, nu_w)
-    pairs = {(id(q), id(nu)) for q, nu in (
-        (s.qv, nu_v), (s.qw, nu_w), (s.qvw, b.ucp_vw.nu))}
-    assert sorted((id(q), id(nu)) for q, nu in systems) == sorted(pairs)
-    products = {(id(q.product), id(nu)) for q, nu in (
-        (s.qv, nu_v), (s.qw, nu_w), (s.qvw, b.ucp_vw.nu))}
-    assert sorted((id(m), id(nu)) for m, nu, *_ in axioms) == sorted(products)
+    pairs = ((s.qv, nu_v), (s.qw, nu_w), (s.qvw, b.ucp_vw.pre.nu))
+    assert sorted((id(p.quad), id(p.nu)) for p in systems) == sorted(
+        (id(q), id(nu)) for q, nu in pairs)
+    assert sorted((id(m), id(nu)) for m, nu, *_ in axioms) == sorted(
+        (id(q.product), id(nu)) for q, nu in pairs)
+    # nabla_nu = product o (A (x) V (x) nu) and beta = muv o (A (x) nu)
+    # are each formed once per pair
+    for q, nu in pairs:
+        for left in (q.idav, q.monoid.id):
+            assert sum(len(fs) == 2 and fs[0] is left and fs[1] is nu
+                       for fs in tensors) == 1, (q.v, left.dom)
 
 
 def test_iso_builds_each_identity_once(monkeypatch):
     t, s = _asymmetric_triple()
-    nu_v, nu_w = tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit)
+    nu_v, nu_w = t.preunits
     vw = s.qv.v @ s.qw.v
     muvw = fdvect.tensor(t.a.mul, identity(vw, QQ)).mat
     ids, tensors = [], []
@@ -235,9 +247,8 @@ def test_ranks_agree(double):
 
 
 def test_mined_outer_is_strictly_smaller():
-    a, lam = mined_law()
-    s = triple_setup(wdl_triple_from_law(a, lam))
-    nu = MonoidPair(a, a).preunit(lam)
-    b = build_iso(s, nu, nu)
+    t = wdl_triple_from_law(*mined_law())
+    s = triple_setup(t)
+    b = build_iso(s, *t.preunits)
     big = s.qv.a.dim * s.qv.v.dim * s.qw.v.dim
     assert b.outer.dim < big

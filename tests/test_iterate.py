@@ -3,10 +3,9 @@
 import pytest
 
 from conftest import trivial_extension, trivial_quadruple
-from weakcp.fdvect import identity, swap, tensor
+from weakcp.fdvect import identity, swap
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
-    MonoidPair,
     flip_fixture,
     quantum_plane_triple,
     skew_group_double,
@@ -24,7 +23,7 @@ from weakcp.iterate import (
 )
 from weakcp.kernel import mat_eq, rank
 from weakcp.mine import mined_law
-from weakcp.preunit import check_pre_system
+from weakcp.preunit import Preunit
 from weakcp.wcp import PreconditionError, check_quadruple
 
 
@@ -33,11 +32,9 @@ def all_doubles():
                 skew_group_double(GF(3))):
         yield fix.name, fix.setup, fix.nu_v, fix.nu_w
     t = quantum_plane_triple()
-    yield "quantum-plane", triple_setup(t), \
-        tensor(t.a.unit, t.b.unit), tensor(t.a.unit, t.c.unit)
-    a, lam = mined_law()
-    nu = MonoidPair(a, a).preunit(lam)
-    yield "mined-577", triple_setup(wdl_triple_from_law(a, lam)), nu, nu
+    yield "quantum-plane", triple_setup(t), *t.preunits
+    t = wdl_triple_from_law(*mined_law())
+    yield "mined-577", triple_setup(t), *t.preunits
 
 
 @pytest.fixture(params=list(all_doubles()), ids=lambda t: t[0])
@@ -76,9 +73,20 @@ def test_iterated_preunit(double):
     qvw = s.qvw
     hyp = check_iterated_preunit_hypotheses(s, nu_v, nu_w)
     assert hyp.ok, hyp.render()
-    nu_vw, rep = iterated_preunit(s, nu_v, nu_w)
+    pre, rep = iterated_preunit(s, Preunit(s.qv, nu_v), Preunit(s.qw, nu_w))
     assert rep.ok, rep.render()
-    assert check_pre_system(qvw, nu_vw).ok
+    assert pre.quad is qvw
+    assert all(i.passed for i in pre.system)
+    # the kept items are the reported ones
+    assert rep["iterated-preunit"].passed is pre.axioms.passed is True
+    assert rep.items[-4:] == list(pre.system)
+
+
+def test_iterated_preunit_rejects_preunits_of_other_quadruples():
+    fix = flip_fixture(GF(3), "flip")
+    s = fix.setup
+    with pytest.raises(ValueError, match="setup's quadruples"):
+        iterated_preunit(s, Preunit(s.qw, fix.nu_w), Preunit(s.qv, fix.nu_v))
 
 
 def test_mined_idempotent_is_weak():

@@ -10,14 +10,7 @@ from weakcp.fixtures import (
     skew_group_double,
 )
 from weakcp.kernel import Mat, mat_eq
-from weakcp.preunit import (
-    beta_nu,
-    build_unital,
-    check_pre_system,
-    check_preunit_axioms,
-    derive_psi_sigma,
-    nabla_nu,
-)
+from weakcp.preunit import Preunit, build_unital, derive_psi_sigma
 from weakcp.wcp import PreconditionError, build_crossed_product
 
 
@@ -34,24 +27,26 @@ def preunital(request):
 
 def test_pre_system(preunital):
     _, q, nu = preunital
-    rep = check_pre_system(q, nu)
-    assert rep.ok, rep.render()
+    system = Preunit(q, nu).system
+    assert [i.label for i in system] == [
+        "pre1-wcp", "pre2-wcp", "pre3-wcp", "preunit-idemp"]
+    assert all(i.passed for i in system), [i.render() for i in system]
 
 
 def test_preunit_axioms_for_product(preunital):
     _, q, nu = preunital
-    item = check_preunit_axioms(q.product, nu, q.idav)
-    assert item.passed is True
+    item = Preunit(q, nu).axioms
+    assert (item.label, item.passed, item.note) == ("preunit", True, "")
 
 
 def test_nu_idempotent_equals_nabla(preunital):
     _, q, nu = preunital
-    assert mat_eq(nabla_nu(q.product, nu, q.idav).mat, q.nabla.mat)
+    assert mat_eq(Preunit(q, nu).nabla.mat, q.nabla.mat)
 
 
 def test_build_unital_monoid(preunital):
     _, q, nu = preunital
-    ucp = build_unital(build_crossed_product(q), nu)
+    ucp = build_unital(build_crossed_product(q), Preunit(q, nu))
     assert ucp.report.ok, ucp.report.render()
     assert check_monoid(ucp.monoid).ok
     # the unit is the projected preunit
@@ -60,7 +55,7 @@ def test_build_unital_monoid(preunital):
 
 def test_beta_is_multiplicative(preunital):
     _, q, nu = preunital
-    beta = beta_nu(q, nu)
+    beta = Preunit(q, nu).beta
     mu_big = q.product
     assert mat_eq(compose(mu_big, tensor(beta, beta)).mat,
                   compose(beta, q.monoid.mul).mat)
@@ -78,7 +73,8 @@ def test_trivial_quadruple_unit():
 
     a = diagonal_algebra("A", 3, QQ)
     qt = trivial_quadruple(a)
-    ucp = build_unital(build_crossed_product(qt), trivial_preunit(qt))
+    ucp = build_unital(build_crossed_product(qt),
+                       Preunit(qt, trivial_preunit(qt)))
     # the crossed product of A with a point is A itself
     assert ucp.monoid.dim == a.dim
     assert mat_eq(ucp.monoid.mul.mat, type(ucp.monoid.mul)(
@@ -92,8 +88,23 @@ def test_build_unital_rejects_bad_preunit():
     entries = list(nu.mat.entries)
     entries[0] = (entries[0] + 1) % 3
     bad = type(nu)(UNIT, nu.cod, Mat(nu.mat.rows, 1, tuple(entries), GF(3)))
-    with pytest.raises(PreconditionError):
-        build_unital(build_crossed_product(q), bad)
+    cp = build_crossed_product(q)
+    # unverified: build_unital requires the preunit axioms first ...
+    with pytest.raises(PreconditionError) as exc:
+        build_unital(cp, Preunit(q, bad))
+    assert exc.value.report.failed_labels() == ["preunit"]
+    # ... then the preunit system: the zero map passes the axioms only
+    zero = type(nu)(UNIT, nu.cod, Mat(nu.mat.rows, 1, (0,) * 4, GF(3)))
+    with pytest.raises(PreconditionError) as exc:
+        build_unital(cp, Preunit(q, zero))
+    assert exc.value.report.failed_labels() == ["pre1-wcp", "pre2-wcp"]
+
+
+def test_build_unital_rejects_preunit_of_another_quadruple():
+    fix = flip_fixture(GF(3), "flip")
+    s = fix.setup
+    with pytest.raises(ValueError, match="another quadruple"):
+        build_unital(build_crossed_product(s.qv), Preunit(s.qw, fix.nu_w))
 
 
 def test_derive_rejects_nonassociative_product():
