@@ -28,7 +28,9 @@ def summary(result):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description="Check the exhaustive miner against its brute-force "
+                    "reference path.")
     parser.add_argument("--field", type=int, default=2)
     parser.add_argument("--dims", default="2,3")
     args = parser.parse_args(argv)

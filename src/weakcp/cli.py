@@ -65,7 +65,6 @@ def _guarded(fn) -> Report:
 
 
 def _cmd_check_quadruple(ws: Workspace, args):
-    """defining and derived identities of quadruples"""
     for name, q in ws.quadruples.items():
         rep = check_quadruple(q)
         rep.extend(check_derived_identities(q))
@@ -73,7 +72,6 @@ def _cmd_check_quadruple(ws: Workspace, args):
 
 
 def _cmd_build_wcp(ws: Workspace, args):
-    """build each crossed product and verify associativity"""
     for name, q in ws.quadruples.items():
         extras = {}
 
@@ -86,25 +84,21 @@ def _cmd_build_wcp(ws: Workspace, args):
 
 
 def _cmd_check_preunit(ws: Workspace, args):
-    """preunit system of each declared preunit"""
     for name, (qname, nu) in ws.preunits.items():
         yield name, Report(list(Preunit(ws.quadruples[qname], nu).system)), {}
 
 
 def _cmd_check_link(ws: Workspace, args):
-    """link-morphism conditions of each setup"""
     for name, s in ws.setups.items():
         yield name, check_link(s), {}
 
 
 def _cmd_check_twisting(ws: Workspace, args):
-    """twisting-morphism conditions of each setup"""
     for name, s in ws.setups.items():
         yield name, check_twisting(s), {}
 
 
 def _cmd_iterate(ws: Workspace, args):
-    """build the combined quadruple of each setup"""
     for name, s in ws.setups.items():
         extras = {}
 
@@ -133,7 +127,6 @@ def _preunit_sections(ws: Workspace, label: str, build):
 
 
 def _cmd_iterated_preunit(ws: Workspace, args):
-    """combine the preunits of each setup"""
     def build(s, nu_v, nu_w, extras):
         return iterated_preunit(s, Preunit(s.qv, nu_v), Preunit(s.qw, nu_w))[1]
 
@@ -141,7 +134,6 @@ def _cmd_iterated_preunit(ws: Workspace, args):
 
 
 def _cmd_iso(ws: Workspace, args):
-    """verify the two-stage/one-shot monoid isomorphism"""
     def build(s, nu_v, nu_w, extras):
         bundle = build_iso(s, nu_v, nu_w)
         extras["rank"] = bundle.outer.dim
@@ -151,35 +143,31 @@ def _cmd_iso(ws: Workspace, args):
 
 
 def _cmd_check_wreath(ws: Workspace, args):
-    """wreath axioms of each declared wreath"""
-    for name, refs in ws.wreaths.items():
+    for name, entry in ws.wreaths.items():
+        refs = entry[1]
         a, b = ws.monoids[refs["a"]], ws.monoids[refs["b"]]
-        ptr = f"/wreaths/{name}"
-        lam = workspace_morphism(ws, refs["lam"], b.obj @ a.obj,
-                                 a.obj @ b.obj, f"{ptr}/lam")
-        tau = workspace_morphism(ws, refs["tau"], UNIT, a.obj @ b.obj,
-                                 f"{ptr}/tau")
-        v = workspace_morphism(ws, refs["v"], b.obj @ b.obj, a.obj @ b.obj,
-                               f"{ptr}/v")
+        ab = a.obj @ b.obj
+        lam = workspace_morphism(ws, entry, "lam", b.obj @ a.obj, ab)
+        tau = workspace_morphism(ws, entry, "tau", UNIT, ab)
+        v = workspace_morphism(ws, entry, "v", b.obj @ b.obj, ab)
         yield name, check_wreath(a, b, lam, tau, v), {}
 
 
 def _law_entries(ws: Workspace):
-    for name, refs in ws.laws.items():
+    for name, entry in ws.laws.items():
+        refs = entry[1]
         a, b = ws.monoids[refs["a"]], ws.monoids[refs["b"]]
-        lam = workspace_morphism(ws, refs["lam"], b.obj @ a.obj,
-                                 a.obj @ b.obj, f"/laws/{name}/lam")
+        lam = workspace_morphism(ws, entry, "lam", b.obj @ a.obj,
+                                 a.obj @ b.obj)
         yield name, a, b, lam
 
 
 def _cmd_check_dl(ws: Workspace, args):
-    """distributive-law axioms of each declared law"""
     for name, a, b, lam in _law_entries(ws):
         yield name, check_distributive_law(a, b, lam), {}
 
 
 def _cmd_check_wdl(ws: Workspace, args):
-    """weak distributive-law axioms and derived identities"""
     for name, a, b, lam in _law_entries(ws):
         pair = MonoidPair(a, b)
         rep = pair.check_wdl(lam)
@@ -189,28 +177,21 @@ def _cmd_check_wdl(ws: Workspace, args):
 
 
 def _cmd_check_brz(ws: Workspace, args):
-    """unitality axioms of each declared unital quadruple"""
-    for name, refs in ws.brz.items():
-        q = ws.quadruples[refs["quadruple"]]
-        eta_v = workspace_morphism(ws, refs["eta_v"], UNIT, q.v,
-                                   f"/brz/{name}/eta_v")
+    for name, entry in ws.brz.items():
+        q = ws.quadruples[entry[1]["quadruple"]]
+        eta_v = workspace_morphism(ws, entry, "eta_v", UNIT, q.v)
         yield name, check_brzezinski(q, eta_v), {}
 
 
 def _cmd_check_dp(ws: Workspace, args):
-    """iterated unitality axioms of each declared pair"""
-    for name, refs in ws.dp.items():
-        s = ws.setups[refs["setup"]]
-        ptr = f"/dp/{name}"
-        eta_v = workspace_morphism(ws, refs["eta_v"], UNIT, s.qv.v,
-                                   f"{ptr}/eta_v")
-        eta_w = workspace_morphism(ws, refs["eta_w"], UNIT, s.qw.v,
-                                   f"{ptr}/eta_w")
+    for name, entry in ws.dp.items():
+        s = ws.setups[entry[1]["setup"]]
+        eta_v = workspace_morphism(ws, entry, "eta_v", UNIT, s.qv.v)
+        eta_w = workspace_morphism(ws, entry, "eta_w", UNIT, s.qw.v)
         yield name, check_dp(s, eta_v, eta_w), {}
 
 
 def _cmd_split_idempotent(ws: Workspace, args):
-    """split each declared square morphism"""
     for name, m in ws.morphisms.items():
         if m.rows != m.cols:
             rep = Report([ReportItem(
@@ -228,21 +209,32 @@ def _cmd_split_idempotent(ws: Workspace, args):
         yield name, rep, {"rank": sp.rank}
 
 
+# subcommand -> (handler, help text); the help is data, not a docstring,
+# so that it survives python -OO
 _HANDLERS = {
-    "check-quadruple": _cmd_check_quadruple,
-    "build-wcp": _cmd_build_wcp,
-    "check-preunit": _cmd_check_preunit,
-    "check-link": _cmd_check_link,
-    "check-twisting": _cmd_check_twisting,
-    "iterate": _cmd_iterate,
-    "iterated-preunit": _cmd_iterated_preunit,
-    "iso": _cmd_iso,
-    "check-wreath": _cmd_check_wreath,
-    "check-dl": _cmd_check_dl,
-    "check-wdl": _cmd_check_wdl,
-    "check-brz": _cmd_check_brz,
-    "check-dp": _cmd_check_dp,
-    "split-idempotent": _cmd_split_idempotent,
+    "check-quadruple": (_cmd_check_quadruple,
+                        "defining and derived identities of quadruples"),
+    "build-wcp": (_cmd_build_wcp,
+                  "build each crossed product and verify associativity"),
+    "check-preunit": (_cmd_check_preunit,
+                      "preunit system of each declared preunit"),
+    "check-link": (_cmd_check_link, "link-morphism conditions of each setup"),
+    "check-twisting": (_cmd_check_twisting,
+                       "twisting-morphism conditions of each setup"),
+    "iterate": (_cmd_iterate, "build the combined quadruple of each setup"),
+    "iterated-preunit": (_cmd_iterated_preunit,
+                         "combine the preunits of each setup"),
+    "iso": (_cmd_iso, "verify the two-stage/one-shot monoid isomorphism"),
+    "check-wreath": (_cmd_check_wreath, "wreath axioms of each declared wreath"),
+    "check-dl": (_cmd_check_dl, "distributive-law axioms of each declared law"),
+    "check-wdl": (_cmd_check_wdl,
+                  "weak distributive-law axioms and derived identities"),
+    "check-brz": (_cmd_check_brz,
+                  "unitality axioms of each declared unital quadruple"),
+    "check-dp": (_cmd_check_dp,
+                 "iterated unitality axioms of each declared pair"),
+    "split-idempotent": (_cmd_split_idempotent,
+                         "split each declared square morphism"),
 }
 
 
@@ -339,7 +331,7 @@ def _emit(text: str, args):
 def _run_sections(args) -> int:
     ws = load_workspace(args.file)
     sections = []
-    for name, rep, extras in _HANDLERS[args.command](ws, args):
+    for name, rep, extras in _HANDLERS[args.command][0](ws, args):
         sections.append((name, sort_by_registry(rep), extras))
     ok = all(rep.ok for _, rep, _ in sections)
     if args.json:
@@ -380,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE",
                        help="write the report to FILE instead of stdout")
 
-    for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, help=handler.__doc__)
+    for name, (_, help_text) in _HANDLERS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="workspace JSON file")
         common(p)
 

@@ -22,7 +22,6 @@ from .kernel import (
     Mat,
     ShapeError,
     first_difference,
-    from_rows,
     identity_mat,
     mat_compose,
     mat_tensor,
@@ -116,39 +115,32 @@ def identity(obj: FObj, field) -> FMor:
     return FMor(obj, obj, identity_mat(obj.dim, field))
 
 
-def mor(dom: FObj, cod: FObj, rows, field) -> FMor:
-    """A morphism from a row-major nested list of entries."""
-    return FMor(dom, cod, from_rows(rows, field))
-
-
 def mor_from_map(dom: FObj, cod: FObj, fn, field) -> FMor:
     """Build a morphism from its action on basis vectors.
 
     ``fn`` receives a basis multi-index of the domain (a tuple, one index
     per factor) and returns a dict mapping codomain multi-indices to
-    coefficients.
+    coefficients, each coerced into the field.  The domain basis is
+    walked in order and each nonzero coefficient is appended to its
+    codomain row, so every row comes out in column order and no zero is
+    stored (Gustavson's row-wise construction).
     """
     dd, cd = dom.dims, cod.dims
-    zero = field.zero()
-    cols = []
+    rows = [[] for _ in range(cod.dim)]
     for j in range(dom.dim):
-        col = [zero] * cod.dim
         for out_multi, coeff in fn(_unflatten(j, dd)).items():
-            col[flatten_index(cd, tuple(out_multi))] = field.coerce(coeff)
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(dom.dim)] for i in range(cod.dim)]
-    return FMor(dom, cod, from_rows(rows, field))
+            if x := field.coerce(coeff):
+                rows[flatten_index(cd, tuple(out_multi))].append((j, x))
+    return FMor(dom, cod, Mat.from_nonzeros(
+        cod.dim, dom.dim, tuple(map(tuple, rows)), field))
 
 
 def swap(x: FObj, y: FObj, field) -> FMor:
-    """The flip x (x) y -> y (x) x."""
+    """The flip x (x) y -> y (x) x: row (j, i) holds a 1 at column (i, j)."""
     dx, dy = x.dim, y.dim
-    one, zero = field.one(), field.zero()
-    rows = [[zero] * (dx * dy) for _ in range(dx * dy)]
-    for i in range(dx):
-        for j in range(dy):
-            rows[j * dx + i][i * dy + j] = one
-    return FMor(x @ y, y @ x, from_rows(rows, field))
+    one = field.one()
+    return FMor(x @ y, y @ x, Mat.from_nonzeros(dx * dy, dx * dy, tuple(
+        ((i * dy + j, one),) for j in range(dy) for i in range(dx)), field))
 
 
 def compose(*fs: FMor) -> FMor:
@@ -238,23 +230,17 @@ class MonoidData:
         return identity(self.obj, self.field)
 
 
-def monoid(name: str, dim: int, mul_rows, unit_entries, field) -> MonoidData:
-    """A monoid from a dim x dim^2 multiplication table and a unit vector."""
+def algebra(name: str, dim: int, product, unit, field) -> MonoidData:
+    """The algebra on the basis e_0, ..., e_(dim-1) given by its structure
+    constants: ``product(i, j)`` is e_i e_j and ``unit`` the unit, each a
+    dict ``{k: coefficient of e_k}``.  Nothing is checked; see
+    :func:`check_monoid`."""
     obj = vobj(name, dim)
-    mul = FMor(obj @ obj, obj, from_rows(mul_rows, field))
-    unit = FMor(UNIT, obj, from_rows([[x] for x in unit_entries], field))
-    return MonoidData(name, obj, mul, unit)
-
-
-def monoid_from_structure(name: str, structure, unit_entries, field) -> MonoidData:
-    """A monoid from structure constants: structure[i][j] is the product
-    of basis vectors e_i and e_j as a coefficient list."""
-    dim = len(structure)
-    rows = [
-        [field.coerce(structure[i][j][k]) for i in range(dim) for j in range(dim)]
-        for k in range(dim)
-    ]
-    return monoid(name, dim, rows, [field.coerce(x) for x in unit_entries], field)
+    mul = mor_from_map(obj @ obj, obj, lambda m: {
+        (k,): c for k, c in product(*m).items()}, field)
+    eta = mor_from_map(UNIT, obj, lambda m: {
+        (k,): c for k, c in unit.items()}, field)
+    return MonoidData(name, obj, mul, eta)
 
 
 def check_monoid(m: MonoidData, prefix: str = "") -> Report:

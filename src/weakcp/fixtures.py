@@ -17,12 +17,11 @@ from .fdvect import (
     FMor,
     MonoidData,
     UNIT,
+    algebra,
     check_equal,
     check_equal_all,
     compose,
     identity,
-    monoid_from_structure,
-    mor,
     mor_from_map,
     swap,
     tensor,
@@ -472,29 +471,19 @@ def check_dp(s: IterSetup, eta_v: FMor, eta_w: FMor) -> Report:
 
 def diagonal_algebra(name: str, n: int, field) -> MonoidData:
     """The split semisimple algebra k^n with componentwise product."""
-    structure = [
-        [[1 if i == j and k == i else 0 for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return monoid_from_structure(name, structure, [1] * n, field)
+    return algebra(name, n, lambda i, j: {i: 1} if i == j else {},
+                   dict.fromkeys(range(n), 1), field)
 
 
 def truncated_polynomial_algebra(name: str, n: int, field) -> MonoidData:
     """k[x]/(x^n) with basis 1, x, ..., x^(n-1)."""
-    structure = [
-        [[1 if k == i + j else 0 for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return monoid_from_structure(name, structure, [1] + [0] * (n - 1), field)
+    return algebra(name, n, lambda i, j: {i + j: 1} if i + j < n else {},
+                   {0: 1}, field)
 
 
 def cyclic_group_algebra(name: str, n: int, field) -> MonoidData:
     """The group algebra of Z/n with basis the group elements."""
-    structure = [
-        [[1 if k == (i + j) % n else 0 for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return monoid_from_structure(name, structure, [1] + [0] * (n - 1), field)
+    return algebra(name, n, lambda i, j: {(i + j) % n: 1}, {0: 1}, field)
 
 
 def q_twist(b: MonoidData, a: MonoidData, q) -> FMor:
@@ -537,7 +526,8 @@ def flip_quadruple(field, vname="V"):
     a = diagonal_algebra("A", 2, field)
     v = vobj(vname, 2)
     psi = swap(v, a.obj, field)
-    gamma = mor(v @ v, v, [[1, 0, 0, 0], [0, 0, 0, 1]], field)
+    gamma = mor_from_map(v @ v, v,
+                         lambda m: {m[:1]: 1} if m[0] == m[1] else {}, field)
     sigma = compose(tensor(a.unit, identity(v, field)), gamma)
     return Quadruple(a, v, psi, sigma)
 
@@ -547,7 +537,8 @@ def flip_fixture(field, name) -> DoubleFixture:
     qw = flip_quadruple(field, "W")
     s = IterSetup(qv, qw, identity(qv.v @ qw.v, field),
                   swap(qw.v, qv.v, field))
-    nu = mor(UNIT, qv.a @ qv.v, [[1], [1], [1], [1]], field)
+    nu = mor_from_map(UNIT, qv.a @ qv.v, lambda m: dict.fromkeys(
+        [(i, j) for i in range(2) for j in range(2)], 1), field)
     return DoubleFixture(name, s, nu, nu)
 
 
@@ -578,9 +569,7 @@ def skew_group_quadruple(field=GF(3)):
     idempotent.
     """
     # basis of A: 1, x with x^2 = 1; basis of V: group elements e, g
-    a = monoid_from_structure(
-        "A", [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0], field
-    )
+    a = cyclic_group_algebra("A", 2, field)
     v = vobj("G", 2)
 
     def psi_map(m):
@@ -595,7 +584,7 @@ def skew_group_quadruple(field=GF(3)):
         return {(0, (g + h) % 2): 1}
 
     sigma = mor_from_map(v @ v, a.obj @ v, sigma_map, field)
-    eta_v = mor(UNIT, v, [[1], [0]], field)
+    eta_v = mor_from_map(UNIT, v, lambda m: {(0,): 1}, field)
     return Quadruple(a, v, psi, sigma), eta_v
 
 

@@ -122,7 +122,7 @@ def twisting_sides(s: IterSetup) -> tuple:
     )
     rhs = compose(
         s.mupsi_w,
-        tensor(ida, idv, sig_w),
+        tensor(s.qv.idav, sig_w),
         tensor(ida, s.tau, idw),
         tensor(psi_w, idv, idw),
         tensor(idw, sig_v, idw),
@@ -184,7 +184,7 @@ def build_iterated(s: IterSetup):
 def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     """The two extra equations needed to combine the two preunits."""
     ida, idv, idw = s.ids()
-    target = compose(s.qvw.nabla, tensor(s.qv.monoid.unit, idv, idw))
+    target = s.qvw.nabla_eta
     rep = Report()
     rep.add(check_equal(
         "pre-1",
@@ -200,7 +200,7 @@ def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> R
         "pre-2",
         compose(
             s.mupsi_w,
-            tensor(ida, idv, s.qw.sigma),
+            tensor(s.qv.idav, s.qw.sigma),
             tensor(ida, s.tau, idw),
             tensor(nu_w, idv, idw),
         ),

@@ -10,11 +10,17 @@ over the one declared field.
 Scalar encodings: rationals are strings like ``"-3/7"`` or integers;
 prime-field entries are integers in ``0..p-1``.  JSON ``true`` and
 ``false`` are rejected wherever an integer is expected.  A matrix is
-``{"rows": n, "cols": m, "entries": [...]}`` in row-major order.
+``{"rows": n, "cols": m, "entries": [...]}`` in row-major order.  This
+module is the one place where matrices are dense: the decoder builds
+them with the dense constructor ``Mat(rows, cols, entries, field)`` and
+the encoders read ``Mat.entries``.
 
 Malformed input raises :class:`WorkspaceError` carrying a JSON pointer
 (RFC 6901) to the offending field, which the CLI surfaces with exit
-code 2.
+code 2.  The collections are lists, so a pointer indexes into them
+(``/wreaths/0/v``); each reference entry keeps its own pointer for the
+errors found after decoding, such as a referenced matrix of the wrong
+shape.
 """
 
 from __future__ import annotations
@@ -54,6 +60,13 @@ def _get(obj: dict, key: str, typ, what: str, ptr: str):
     if key not in obj:
         raise WorkspaceError(f"missing required key {key!r}", ptr)
     return _expect(obj[key], typ, what, f"{ptr}/{key}")
+
+
+def _check_shape(m: Mat, rows: int, cols: int, what: str, ptr: str) -> Mat:
+    if (m.rows, m.cols) != (rows, cols):
+        raise WorkspaceError(
+            f"{what} must be {rows}x{cols}, got {m.rows}x{m.cols}", ptr)
+    return m
 
 
 def _opt(obj: dict, key: str, typ, what: str, ptr: str, default=None):
@@ -174,13 +187,8 @@ def decode_monoid(obj, field, ptr: str) -> MonoidData:
         raise WorkspaceError(f"dimension must be positive, got {dim}", f"{ptr}/dim")
     unit = decode_vector(_get(obj, "unit", list, "a unit vector", ptr),
                          dim, field, f"{ptr}/unit")
-    mul = decode_mat(obj.get("mul"), field, f"{ptr}/mul")
-    if (mul.rows, mul.cols) != (dim, dim * dim):
-        raise WorkspaceError(
-            f"multiplication must be {dim}x{dim * dim}, "
-            f"got {mul.rows}x{mul.cols}",
-            f"{ptr}/mul",
-        )
+    mul = _check_shape(decode_mat(obj.get("mul"), field, f"{ptr}/mul"),
+                       dim, dim * dim, "multiplication", f"{ptr}/mul")
     a = vobj(name, dim)
     return MonoidData(name, a, FMor(a @ a, a, mul), FMor(UNIT, a, unit))
 
@@ -205,19 +213,10 @@ def decode_quadruple(obj, name: str, monoids: dict, field, ptr: str) -> Quadrupl
         raise WorkspaceError(f"dimension must be positive, got {vdim}", f"{ptr}/V")
     v = vobj(name, vdim)
     da, dv = m.dim, vdim
-    psi = decode_mat(obj.get("psi"), field, f"{ptr}/psi")
-    if (psi.rows, psi.cols) != (da * dv, dv * da):
-        raise WorkspaceError(
-            f"psi must be {da * dv}x{dv * da}, got {psi.rows}x{psi.cols}",
-            f"{ptr}/psi",
-        )
-    sigma = decode_mat(obj.get("sigma"), field, f"{ptr}/sigma")
-    if (sigma.rows, sigma.cols) != (da * dv, dv * dv):
-        raise WorkspaceError(
-            f"sigma must be {da * dv}x{dv * dv}, "
-            f"got {sigma.rows}x{sigma.cols}",
-            f"{ptr}/sigma",
-        )
+    psi = _check_shape(decode_mat(obj.get("psi"), field, f"{ptr}/psi"),
+                       da * dv, dv * da, "psi", f"{ptr}/psi")
+    sigma = _check_shape(decode_mat(obj.get("sigma"), field, f"{ptr}/sigma"),
+                         da * dv, dv * dv, "sigma", f"{ptr}/sigma")
     return Quadruple(m, v, FMor(v @ m.obj, m.obj @ v, psi),
                      FMor(v @ v, m.obj @ v, sigma))
 
@@ -253,19 +252,10 @@ def decode_setup(obj, quadruples: dict, field, ptr: str) -> IterSetup:
             "the two quadruples must share the same monoid", ptr
         )
     dv, dw = qv.v.dim, qw.v.dim
-    delta = decode_mat(obj.get("delta"), field, f"{ptr}/delta")
-    if (delta.rows, delta.cols) != (dv * dw, dv * dw):
-        raise WorkspaceError(
-            f"delta must be {dv * dw}x{dv * dw}, "
-            f"got {delta.rows}x{delta.cols}",
-            f"{ptr}/delta",
-        )
-    tau = decode_mat(obj.get("tau"), field, f"{ptr}/tau")
-    if (tau.rows, tau.cols) != (dv * dw, dw * dv):
-        raise WorkspaceError(
-            f"tau must be {dv * dw}x{dw * dv}, got {tau.rows}x{tau.cols}",
-            f"{ptr}/tau",
-        )
+    delta = _check_shape(decode_mat(obj.get("delta"), field, f"{ptr}/delta"),
+                         dv * dw, dv * dw, "delta", f"{ptr}/delta")
+    tau = _check_shape(decode_mat(obj.get("tau"), field, f"{ptr}/tau"),
+                       dv * dw, dw * dv, "tau", f"{ptr}/tau")
     vw = qv.v @ qw.v
     return IterSetup(qv, qw, FMor(vw, vw, delta), FMor(qw.v @ qv.v, vw, tau))
 
@@ -299,7 +289,9 @@ class Workspace:
     distinguished elements); consumers wrap them in the appropriate
     domain/codomain.  ``preunits`` maps each preunit name to a pair
     (quadruple name, morphism); ``setup_preunits`` records the optional
-    ``nu_first``/``nu_second`` references of each setup.
+    ``nu_first``/``nu_second`` references of each setup.  ``wreaths``,
+    ``laws``, ``brz`` and ``dp`` map each name to a pair (JSON pointer
+    of the entry, {role key: referenced name}).
     """
 
     field: object
@@ -361,23 +353,23 @@ def decode_workspace(obj) -> Workspace:
             refs.append(pname)
         ws.setup_preunits[name] = tuple(refs)
     for name, entry, ptr in _named_section(obj, "wreaths", ""):
-        ws.wreaths[name] = _decode_refs(
+        ws.wreaths[name] = ptr, _decode_refs(
             entry, ptr, monoids={"a": ws.monoids, "b": ws.monoids},
             morphisms={"lam": ws.morphisms, "tau": ws.morphisms,
                        "v": ws.morphisms},
         )
     for name, entry, ptr in _named_section(obj, "laws", ""):
-        ws.laws[name] = _decode_refs(
+        ws.laws[name] = ptr, _decode_refs(
             entry, ptr, monoids={"a": ws.monoids, "b": ws.monoids},
             morphisms={"lam": ws.morphisms},
         )
     for name, entry, ptr in _named_section(obj, "brz", ""):
-        ws.brz[name] = _decode_refs(
+        ws.brz[name] = ptr, _decode_refs(
             entry, ptr, quadruples={"quadruple": ws.quadruples},
             morphisms={"eta_v": ws.morphisms},
         )
     for name, entry, ptr in _named_section(obj, "dp", ""):
-        ws.dp[name] = _decode_refs(
+        ws.dp[name] = ptr, _decode_refs(
             entry, ptr, setups={"setup": ws.setups},
             morphisms={"eta_v": ws.morphisms, "eta_w": ws.morphisms},
         )
@@ -410,16 +402,12 @@ def load_workspace(path: str) -> Workspace:
     return decode_workspace(obj)
 
 
-def workspace_morphism(ws: Workspace, name: str, dom: FObj, cod: FObj,
-                       ptr: str) -> FMor:
-    """Resolve a named raw matrix as a morphism with the given shape."""
-    if name not in ws.morphisms:
-        raise WorkspaceError(f"unknown morphism {name!r}", ptr)
-    m = ws.morphisms[name]
-    if (m.rows, m.cols) != (cod.dim, dom.dim):
-        raise WorkspaceError(
-            f"morphism {name!r} must be {cod.dim}x{dom.dim}, "
-            f"got {m.rows}x{m.cols}",
-            ptr,
-        )
-    return FMor(dom, cod, m)
+def workspace_morphism(ws: Workspace, entry: tuple, key: str, dom: FObj,
+                       cod: FObj) -> FMor:
+    """Resolve the morphism that the reference ``key`` of ``entry``, a
+    (pointer, references) pair of the workspace, names, as a map
+    dom -> cod; its shape is checked against dom and cod."""
+    ptr, refs = entry
+    name = refs[key]
+    return FMor(dom, cod, _check_shape(ws.morphisms[name], cod.dim, dom.dim,
+                                       f"morphism {name!r}", f"{ptr}/{key}"))

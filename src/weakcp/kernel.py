@@ -14,8 +14,14 @@ neither allocates a dense buffer.  Equality compares rows, and indexing
 reads one stored row.  One sparse routine computes the reduced row
 echelon form, on rows held as dicts of their nonzeros: rank,
 right-solving, null spaces and the splitting of idempotents all read
-their results from it.  The dense row-major view ``entries`` is derived
-on demand and cached, for the JSON encoders and ``repr``.
+their results from it.
+
+The engine builds every matrix as rows of nonzeros
+(:meth:`Mat.from_nonzeros`); the dense row-major format belongs to the
+JSON workspace files alone.  Its decoder builds matrices with the dense
+constructor ``Mat(rows, cols, entries, field)``, and its encoders read
+the dense view ``entries``, derived on demand and cached, as do ``repr``
+and the benchmark's tracer.
 
 Conventions (fixed for the whole engine):
 
@@ -71,8 +77,11 @@ class Mat:
     ``nonzeros`` holds one tuple per row of that row's nonzero
     ``(column, value)`` pairs, columns ascending; zeros are never stored,
     so equal matrices have equal ``nonzeros``.  ``Mat(rows, cols,
-    entries, field)`` takes the dense row-major entries and drops the
-    zeros; :meth:`from_nonzeros` takes the rows directly.
+    entries, field)`` takes the dense row-major entries, already in the
+    field, and drops the zeros: it serves the JSON decoder, whose format
+    is dense, and reference matrices in the tests.  The engine builds
+    its matrices with :meth:`from_nonzeros`, which takes the rows
+    directly.
     """
 
     rows: int
@@ -96,7 +105,8 @@ class Mat:
 
     @cached_property
     def entries(self) -> tuple:
-        """All rows * cols entries, row-major, zeros included."""
+        """All rows * cols entries, row-major, zeros included, for the
+        JSON encoders, ``repr`` and the benchmark's tracer."""
         cols = self.cols
         out = [self.field.zero()] * (self.rows * cols)
         for r, row in enumerate(self.nonzeros):
@@ -128,21 +138,6 @@ class Mat:
             for r in range(self.rows)
         )
         return f"Mat({self.rows}x{self.cols} over {self.field!r}: [{body}])"
-
-
-def mat(rows, cols, entries, field) -> Mat:
-    """Build a matrix, coercing each entry into the field."""
-    flat = tuple(field.coerce(x) for x in entries)
-    return Mat(rows, cols, flat, field)
-
-
-def from_rows(rows_list, field) -> Mat:
-    nrows = len(rows_list)
-    ncols = len(rows_list[0]) if nrows else 0
-    for r in rows_list:
-        if len(r) != ncols:
-            raise ShapeError("ragged rows")
-    return mat(nrows, ncols, [x for row in rows_list for x in row], field)
 
 
 def identity_mat(n, field) -> Mat:

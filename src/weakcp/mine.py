@@ -56,6 +56,7 @@ of 2**16 over GF(2), 6,561 of 3**16 over GF(3)), 18 at (2,3) and 45 at
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -117,14 +118,13 @@ class _ExchangeLaw:
         """A basis of the solutions (only the exhaustive search needs it)."""
         return nullspace(self.c)
 
-    @functools.cached_property
-    def generators(self) -> list:
-        """The entries of each basis law, row-major: the columns of basis."""
-        gens = [[0] * self.entries for _ in range(self.basis.cols)]
-        for k, row in enumerate(self.basis.nonzeros):
-            for j, x in row:
-                gens[j][k] = x
-        return gens
+    def code(self, x) -> int:
+        """The code of the solution with coordinates x in the basis: its
+        entry k is row k of the basis applied to x."""
+        p, code = self.p, 0
+        for row in reversed(self.basis.nonzeros):
+            code = code * p + sum(x[j] * b for j, b in row) % p
+        return code
 
     @property
     def entries(self) -> int:
@@ -163,17 +163,8 @@ class _ExchangeLaw:
                 f"{p}^{nullity} candidates satisfy the exchange law, more "
                 f"than the cap of {EXHAUSTIVE_CAP}"
             )
-        vectors = [(0,) * self.entries]
-        for gen in self.generators:
-            vectors = [tuple((x + c * g) % p for x, g in zip(v, gen))
-                       for v in vectors for c in range(p)]
-        codes = []
-        for v in vectors:
-            code = 0
-            for d in reversed(v):
-                code = code * p + d
-            codes.append(code)
-        return sorted(codes)
+        return sorted(map(self.code, itertools.product(range(p),
+                                                         repeat=nullity)))
 
 
 def _exchange_law(pair: MonoidPair) -> _ExchangeLaw:
@@ -224,8 +215,15 @@ def _dl_polynomials(law: _ExchangeLaw, axioms) -> list:
     every x is left out.
     """
     ab, ba, mod = law.ab, law.ba, law.p
-    laws = [FMor(ba, ab, Mat(ab.dim, ba.dim, gen, law.c.field))
-            for gen in law.generators]
+    # basis law j is column j of the basis: its row-major entry k, at row
+    # k // dim(ba) and column k % dim(ba), is row k of the basis at j
+    rows = [[[] for _ in range(ab.dim)] for _ in range(law.basis.cols)]
+    for k, row in enumerate(law.basis.nonzeros):
+        r, c = divmod(k, ba.dim)
+        for j, x in row:
+            rows[j][r].append((c, x))
+    laws = [FMor(ba, ab, Mat.from_nonzeros(
+        ab.dim, ba.dim, tuple(map(tuple, lam)), law.c.field)) for lam in rows]
     out = []
     for _, left, q, p in axioms:
         polys = {}
@@ -339,22 +337,22 @@ def _walk(law: _ExchangeLaw, axioms) -> list:
                 visit(k + 1, child)
 
     visit(1, 0)
-    powers = [p ** e for e in range(law.entries)]
-    return sorted(
-        sum(sum(x[j] * g for j, g in row) % p * pk
-            for row, pk in zip(law.basis.nonzeros, powers))
-        for x in found)
+    return sorted(map(law.code, found))
 
 
 def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
     """The candidate law encoded by an integer in the fixed enumeration."""
     f, ba, ab = _law_space(a, b)
     p = f.p
-    entries = []
-    for _ in range(ba.dim * ab.dim):
-        entries.append(code % p)
-        code //= p
-    return FMor(ba, ab, Mat(ab.dim, ba.dim, tuple(entries), f))
+    rows = []
+    for _ in range(ab.dim):
+        row = []
+        for c in range(ba.dim):
+            code, x = divmod(code, p)
+            if x:
+                row.append((c, x))
+        rows.append(tuple(row))
+    return FMor(ba, ab, Mat.from_nonzeros(ab.dim, ba.dim, tuple(rows), f))
 
 
 def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:

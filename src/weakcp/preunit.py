@@ -72,8 +72,7 @@ class Preunit:
         """The three compatibility equations tying nu to (psi, sigma),
         and ``quad.nabla`` o nu = nu."""
         q, nu = self.quad, self.nu
-        idv, nab = q.idv, q.nabla
-        target = compose(nab, tensor(q.monoid.unit, idv))
+        idv, nab, target = q.idv, q.nabla, q.nabla_eta
         return (
             check_equal(
                 "pre1-wcp",

@@ -56,10 +56,10 @@ class Quadruple:
     The identities ``idv`` of V and ``idav`` of A (x) V, the whisker
     ``muv`` = mu (x) V, its composites ``mupsi`` = muv o (A (x) psi) and
     ``musigma`` = muv o (A (x) sigma), the canonical idempotent
-    ``nabla``, the product ``product`` on A (x) V and the four defining
-    conditions ``wmeas``, ``twisted``, ``cocycle`` and ``normalized`` are
-    computed on first use and then kept, so every construction over one
-    quadruple shares them.
+    ``nabla`` and ``nabla_eta`` = nabla o (eta (x) V), the product
+    ``product`` on A (x) V and the four defining conditions ``wmeas``,
+    ``twisted``, ``cocycle`` and ``normalized`` are computed on first use
+    and then kept, so every construction over one quadruple shares them.
     """
 
     monoid: MonoidData
@@ -117,9 +117,12 @@ class Quadruple:
 
         nabla = (mu (x) V) o (A (x) psi) o (A (x) V (x) eta).
         """
-        return compose(
-            self.mupsi, tensor(self.monoid.id, self.idv, self.monoid.unit)
-        )
+        return compose(self.mupsi, tensor(self.idav, self.monoid.unit))
+
+    @cached_property
+    def nabla_eta(self) -> FMor:
+        """nabla o (eta (x) V) : V -> A (x) V."""
+        return compose(self.nabla, tensor(self.monoid.unit, self.idv))
 
     @cached_property
     def product(self) -> FMor:

@@ -1,13 +1,37 @@
-"""Shared test helpers: deterministic random matrices and idempotents,
-and the degenerate quadruples on a one-dimensional V."""
+"""Shared test helpers: literal and deterministic random matrices,
+random idempotents, and the degenerate quadruples on a one-dimensional
+V."""
 
 import random
 
 from weakcp.fdvect import UNIT, FMor, MonoidData, identity, vobj
 from weakcp.fields import GF, QQ
 from weakcp.iterate import IterSetup
-from weakcp.kernel import Mat, identity_mat, mat_compose, rank, solve_right
+from weakcp.kernel import (
+    Mat,
+    ShapeError,
+    identity_mat,
+    mat_compose,
+    rank,
+    solve_right,
+)
 from weakcp.wcp import Quadruple
+
+
+def from_rows(rows, field) -> Mat:
+    """A matrix from a row-major nested list of literal entries, each
+    coerced into the field: the dense reference the engine's builders
+    are compared with."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ShapeError("ragged rows")
+    return Mat(len(rows), ncols,
+               tuple(field.coerce(x) for row in rows for x in row), field)
+
+
+def mor(dom, cod, rows, field) -> FMor:
+    """A morphism from a row-major nested list of literal entries."""
+    return FMor(dom, cod, from_rows(rows, field))
 
 
 def random_entry(rng, field):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -182,6 +184,42 @@ def test_mine_wdl_field_beyond_proven_bound(capsys):
     assert capsys.readouterr().err.startswith("error: --field: ")
 
 
+# (fixture, command, edit of the document, the error): a well-formed
+# reference to a matrix of the wrong shape; the pointer indexes the list
+WRONG_SHAPE = [
+    ("quantum_plane.json", "check-wreath",
+     lambda doc: doc["wreaths"][0].update(v="tau1"),
+     "error: /wreaths/0/v: morphism 'tau1' must be 4x4, got 4x1"),
+    ("quantum_plane.json", "check-dl",
+     lambda doc: doc["laws"][1].update(lam="tau1"),
+     "error: /laws/1/lam: morphism 'tau1' must be 4x4, got 4x1"),
+    ("quantum_plane.json", "check-wdl",
+     lambda doc: doc["laws"][1].update(lam="tau1"),
+     "error: /laws/1/lam: morphism 'tau1' must be 4x4, got 4x1"),
+    ("skew_group.json", "check-brz",
+     lambda doc: doc["brz"][0].update(eta_v="sq"),
+     "error: /brz/0/eta_v: morphism 'sq' must be 2x1, got 2x2"),
+    ("skew_group.json", "check-dp",
+     lambda doc: doc["dp"][0].update(eta_w="sq"),
+     "error: /dp/0/eta_w: morphism 'sq' must be 2x1, got 2x2"),
+]
+
+
+@pytest.mark.parametrize("fname,cmd,edit,error", WRONG_SHAPE,
+                         ids=[c for _, c, _, _ in WRONG_SHAPE])
+def test_reference_of_wrong_shape_points_into_the_list(
+        fname, cmd, edit, error, capsys, tmp_path):
+    with open(fx(fname)) as fh:
+        doc = json.load(fh)
+    doc["morphisms"].append({"name": "sq", "mat": {
+        "rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}})
+    edit(doc)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main([cmd, str(path)]) == 2
+    assert capsys.readouterr().err == error + "\n"
+
+
 def test_workspace_string_prime_exits_2(capsys, tmp_path):
     with open(fx("flip_triple.json")) as fh:
         obj = json.load(fh)
@@ -209,30 +247,54 @@ def test_iterated_preunit_skips_without_preunits(capsys, tmp_path):
             "(setup declares no preunit pair; skipped)\nresult: ok\n")
 
 
+HELP_LISTING = [
+    "    check-quadruple     defining and derived identities of quadruples",
+    "    build-wcp           build each crossed product and verify associativity",
+    "    check-preunit       preunit system of each declared preunit",
+    "    check-link          link-morphism conditions of each setup",
+    "    check-twisting      twisting-morphism conditions of each setup",
+    "    iterate             build the combined quadruple of each setup",
+    "    iterated-preunit    combine the preunits of each setup",
+    "    iso                 verify the two-stage/one-shot monoid isomorphism",
+    "    check-wreath        wreath axioms of each declared wreath",
+    "    check-dl            distributive-law axioms of each declared law",
+    "    check-wdl           weak distributive-law axioms and derived identities",
+    "    check-brz           unitality axioms of each declared unital quadruple",
+    "    check-dp            iterated unitality axioms of each declared pair",
+    "    split-idempotent    split each declared square morphism",
+    "    mine-wdl            search for weak distributive laws",
+]
+
+
+def _listing(out):
+    return out[out.index("    check-quadruple"):].split("\n\n")[0].splitlines()
+
+
 def test_help_lists_each_subcommand_once(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    out = capsys.readouterr().out
-    listing = out[out.index("    check-quadruple"):].split("\n\n")[0]
-    assert listing.splitlines() == [
-        "    check-quadruple     defining and derived identities of quadruples",
-        "    build-wcp           build each crossed product and verify associativity",
-        "    check-preunit       preunit system of each declared preunit",
-        "    check-link          link-morphism conditions of each setup",
-        "    check-twisting      twisting-morphism conditions of each setup",
-        "    iterate             build the combined quadruple of each setup",
-        "    iterated-preunit    combine the preunits of each setup",
-        "    iso                 verify the two-stage/one-shot monoid isomorphism",
-        "    check-wreath        wreath axioms of each declared wreath",
-        "    check-dl            distributive-law axioms of each declared law",
-        "    check-wdl           weak distributive-law axioms and derived identities",
-        "    check-brz           unitality axioms of each declared unital quadruple",
-        "    check-dp            iterated unitality axioms of each declared pair",
-        "    split-idempotent    split each declared square morphism",
-        "    mine-wdl            search for weak distributive laws",
-    ]
+    assert _listing(capsys.readouterr().out) == HELP_LISTING
+
+
+def _run_oo(*argv):
+    """Run python -OO, which strips docstrings, on argv."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), "..", "src"))
+    return subprocess.run([sys.executable, "-OO", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_help_needs_no_docstrings():
+    proc = _run_oo("-m", "weakcp.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert _listing(proc.stdout) == HELP_LISTING
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "check_miner_oracle.py")
+    proc = _run_oo(script, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "reference path" in proc.stdout
 
 
 def test_entry_point_installed():

@@ -1,32 +1,36 @@
 """Tensor words, morphisms and monoids."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELDS, random_mat
+from conftest import FIELDS, from_rows, mor, random_mat
 from weakcp.fdvect import (
     FMor,
     FObj,
     MonoidData,
     UNIT,
+    algebra,
     check_equal,
     check_equal_all,
     check_monoid,
     compose,
     flatten_index,
     identity,
-    monoid_from_structure,
-    mor,
     mor_from_map,
     swap,
     tensor,
     vobj,
 )
 from weakcp.fields import QQ
-from weakcp.fixtures import cyclic_group_algebra
+from weakcp.fixtures import (
+    cyclic_group_algebra,
+    diagonal_algebra,
+    truncated_polynomial_algebra,
+)
 from weakcp.kernel import ShapeError, mat_eq
 
 
@@ -73,6 +77,59 @@ def test_mor_from_map_matches_mor():
     f = mor_from_map(v, v, lambda m: {(1 - m[0],): 1}, QQ)
     g = mor(v, v, [[0, 1], [1, 0]], QQ)
     assert mat_eq(f.mat, g.mat)
+
+
+def _word(name, dims):
+    return FObj(tuple((f"{name}{i}", d) for i, d in enumerate(dims)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mor_from_map_matches_dense_reference(data):
+    # random basis actions, zero coefficients included, between words of
+    # zero to three factors, against the dense column-by-column reference
+    field = data.draw(st.sampled_from(FIELDS))
+    words = st.lists(st.integers(1, 3), max_size=3)
+    dom, cod = _word("X", data.draw(words)), _word("Y", data.draw(words))
+    targets = list(itertools.product(*map(range, cod.dims)))
+    coeff = st.sampled_from((0, 0, 1, 2, -1, 7))
+    action = {
+        source: data.draw(st.dictionaries(
+            st.integers(0, cod.dim - 1), coeff, max_size=3))
+        for source in itertools.product(*map(range, dom.dims))
+    }
+    f = mor_from_map(dom, cod,
+                     lambda m: {targets[k]: c for k, c in action[m].items()},
+                     field)
+    columns = [[action[m].get(k, 0) for k in range(cod.dim)] for m in action]
+    dense = from_rows([list(row) for row in zip(*columns)], field)
+    assert (f.dom, f.cod) == (dom, cod)
+    assert mat_eq(f.mat, dense)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_builders_match_dense_references(field, n):
+    # each product e_i e_j is one basis vector or zero: product(i, j) is
+    # its index, or None
+    references = (
+        (diagonal_algebra, lambda i, j: i if i == j else None, [1] * n),
+        (truncated_polynomial_algebra,
+         lambda i, j: i + j if i + j < n else None, [1] + [0] * (n - 1)),
+        (cyclic_group_algebra, lambda i, j: (i + j) % n, [1] + [0] * (n - 1)),
+    )
+    for build, product, unit in references:
+        m = build("M", n, field)
+        assert mat_eq(m.mul.mat, from_rows(
+            [[int(product(i, j) == k) for i in range(n) for j in range(n)]
+             for k in range(n)], field))
+        assert mat_eq(m.unit.mat, from_rows([[x] for x in unit], field))
+    for dy in range(1, 6):
+        # row (j, i) of the flip is 1 at column (i, j)
+        dense = [[int(divmod(c, dy) == (r % n, r // n)) for c in range(n * dy)]
+                 for r in range(n * dy)]
+        assert mat_eq(swap(vobj("X", n), vobj("Y", dy), field).mat,
+                      from_rows(dense, field))
 
 
 def test_swap_involution_and_naturality():
@@ -144,12 +201,8 @@ def test_monoid_checks_pass_on_group_algebra():
 
 def test_monoid_checks_fail_on_broken_structure():
     # "multiplication" that is not associative
-    bad = monoid_from_structure(
-        "B",
-        [[[0, 1], [1, 0]], [[1, 0], [1, 0]]],
-        [1, 0],
-        QQ,
-    )
+    table = {(0, 0): {1: 1}, (0, 1): {0: 1}, (1, 0): {0: 1}, (1, 1): {0: 1}}
+    bad = algebra("B", 2, lambda i, j: table[i, j], {0: 1}, QQ)
     rep = check_monoid(bad)
     assert not rep.ok
     assert rep["assoc"].passed is False

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakcp.fdvect import mor_from_map, vobj
 from weakcp.fields import GF, MR_BOUND, QQ, _is_prime, field_from_descriptor
 from weakcp.fixtures import q_twist, truncated_polynomial_algebra
-from weakcp.kernel import from_rows
 
 
 def trial_division(n):
@@ -157,7 +157,8 @@ def test_coerce_rejects_floats(field, x):
     with pytest.raises(TypeError, match="float"):
         field.coerce(x)
     with pytest.raises(TypeError, match="float"):
-        from_rows([[1, x]], field)
+        mor_from_map(vobj("V", 2), vobj("W", 1),
+                     lambda m: {(0,): x}, field)
 
 
 def test_q_twist_takes_a_fraction_over_a_prime_field():

@@ -4,7 +4,9 @@ exit code in {0, 1, 2} with a message, never in a traceback.
 Each example takes one committed fixture, sets one JSON path (an object
 member, a list element or the whole document) to a value from a small
 pool of awkward values, or deletes it, and runs one workspace subcommand
-on the result.
+on the result.  An exit code 2 names a JSON pointer (RFC 6901) that
+resolves in the mutated document, or names a missing member of an object
+that does.
 """
 
 import contextlib
@@ -42,6 +44,22 @@ def _paths(node, prefix=()):
         return
     for key, child in items:
         yield from _paths(child, prefix + (key,))
+
+
+def _resolves(doc, pointer):
+    """Whether pointer resolves in doc, or names a missing member of an
+    object it resolves to."""
+    node = doc
+    tokens = pointer.split("/")[1:] if pointer else []
+    for i, token in enumerate(tokens):
+        token = token.replace("~1", "/").replace("~0", "~")
+        if isinstance(node, dict) and token in node:
+            node = node[token]
+        elif isinstance(node, list) and token.isdigit() and int(token) < len(node):
+            node = node[int(token)]
+        else:
+            return isinstance(node, dict) and i == len(tokens) - 1
+    return True
 
 
 def _mutated(doc, path, value):
@@ -84,3 +102,6 @@ def test_mutated_fixture_fails_cleanly(data):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+        pointer = err.getvalue()[len("error: "):].split(": ", 1)[0]
+        # the CLI prints the pointer "" to the whole document as "/"
+        assert _resolves(doc, "" if pointer == "/" else pointer), err.getvalue()

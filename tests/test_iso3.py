@@ -191,6 +191,27 @@ def test_iso_builds_each_identity_once(monkeypatch):
                if (m.rows, m.cols) == (muvw.rows, muvw.cols)) == 1
 
 
+def test_iso_tensors_no_owned_identity_with_id_a(monkeypatch):
+    # id_A (x) id_V is the identity of A (x) V, which each quadruple's
+    # idav owns, so no tensor pairs id_A with an owned id_V
+    t, s = _asymmetric_triple()
+    nu_v, nu_w = t.preunits
+    pairs = []
+    original = fdvect.mat_tensor
+
+    def spy(f, g):
+        pairs.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(fdvect, "mat_tensor", spy)
+    build_iso(s, nu_v, nu_w)
+    ida = s.qv.monoid.id.mat
+    idvs = [q.idv.mat for q in (s.qv, s.qw, s.qvw)]
+    assert not [(f, g) for f, g in pairs
+                if (f is ida and any(g is m for m in idvs))
+                or (g is ida and any(f is m for m in idvs))]
+
+
 def test_check_wdl_builds_each_whisker_once(monkeypatch):
     calls = []
     original = fixtures.tensor

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import from_rows
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import flip_fixture, skew_group_quadruple
 from weakcp.jsonio import (
@@ -19,7 +20,7 @@ from weakcp.jsonio import (
     encode_setup,
     load_workspace,
 )
-from weakcp.kernel import from_rows, mat_eq
+from weakcp.kernel import mat_eq
 from weakcp.wcp import check_quadruple
 
 

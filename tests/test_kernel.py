@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELDS, random_idempotent, random_mat
+from conftest import FIELDS, from_rows, random_idempotent, random_mat
 from weakcp.fdvect import FMor, FObj, check_equal
 from weakcp.fields import GF, QQ, FieldMismatchError
 from weakcp.kernel import (
@@ -17,7 +17,6 @@ from weakcp.kernel import (
     NotIdempotentError,
     ShapeError,
     first_difference,
-    from_rows,
     identity_mat,
     mat_compose,
     mat_eq,
