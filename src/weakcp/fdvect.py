@@ -131,7 +131,7 @@ def mor_from_map(dom: FObj, cod: FObj, fn, field) -> FMor:
         for out_multi, coeff in fn(_unflatten(j, dd)).items():
             if x := field.coerce(coeff):
                 rows[flatten_index(cd, tuple(out_multi))].append((j, x))
-    return FMor(dom, cod, Mat.from_nonzeros(
+    return FMor(dom, cod, Mat(
         cod.dim, dom.dim, tuple(map(tuple, rows)), field))
 
 
@@ -139,7 +139,7 @@ def swap(x: FObj, y: FObj, field) -> FMor:
     """The flip x (x) y -> y (x) x: row (j, i) holds a 1 at column (i, j)."""
     dx, dy = x.dim, y.dim
     one = field.one()
-    return FMor(x @ y, y @ x, Mat.from_nonzeros(dx * dy, dx * dy, tuple(
+    return FMor(x @ y, y @ x, Mat(dx * dy, dx * dy, tuple(
         ((i * dy + j, one),) for j in range(dy) for i in range(dx)), field))
 
 

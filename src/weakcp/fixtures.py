@@ -29,7 +29,7 @@ from .fdvect import (
 )
 from .fields import GF, QQ
 from .iterate import IterSetup, iterated_preunit, twisting_sides
-from .kernel import mat_eq
+from .kernel import identity_mat, mat_eq
 from .preunit import Preunit
 from .report import Report, ReportItem
 from .wcp import Quadruple
@@ -260,13 +260,6 @@ def quadruple_from_wdl(a: MonoidData, b: MonoidData, lam: FMor) -> Quadruple:
     return Quadruple(a, b.obj, psi, FMor(b.obj @ b.obj, a.obj @ b.obj, sig.mat))
 
 
-def quadruple_from_dl(a: MonoidData, b: MonoidData, lam: FMor) -> Quadruple:
-    """The quadruple induced by an honest distributive law: sigma = eta (x) mu."""
-    sig = tensor(a.unit, b.mul)
-    psi = FMor(b.obj @ a.obj, a.obj @ b.obj, lam.mat)
-    return Quadruple(a, b.obj, psi, FMor(b.obj @ b.obj, a.obj @ b.obj, sig.mat))
-
-
 def check_yang_baxter(a: MonoidData, b: MonoidData, c: MonoidData,
                       l1: FMor, l2: FMor, l3: FMor) -> ReportItem:
     """The hexagon relation for l1 : B(x)A -> A(x)B, l2 : C(x)B -> B(x)C,
@@ -281,7 +274,9 @@ def check_yang_baxter(a: MonoidData, b: MonoidData, c: MonoidData,
 
 @dataclass(frozen=True)
 class LawTriple:
-    """Three monoids with pairwise (weak) distributive laws."""
+    """Three monoids with pairwise weak distributive laws; an honest law
+    is the case nabla = id.  ``weak=False`` declares all three honest, and
+    raises ``ValueError`` naming a law whose nabla is not the identity."""
 
     a: MonoidData  # the common outer monoid
     b: MonoidData
@@ -289,33 +284,38 @@ class LawTriple:
     l1: FMor  # B (x) A -> A (x) B
     l2: FMor  # C (x) B -> B (x) C
     l3: FMor  # C (x) A -> A (x) C
-    weak: bool  # True: weak distributive laws; False: honest ones
+    weak: bool  # False: all three laws are declared honest
+
+    def __post_init__(self):
+        if self.weak:
+            return
+        for name, x, y, lam in (("l1", self.a, self.b, self.l1),
+                                ("l2", self.b, self.c, self.l2),
+                                ("l3", self.a, self.c, self.l3)):
+            nab = MonoidPair(x, y).nabla(lam)
+            if not mat_eq(nab.mat, identity_mat(nab.mat.rows, x.field)):
+                raise ValueError(f"LawTriple(weak=False): the law {name} on "
+                                 f"({x.name}, {y.name}) has nabla != id")
 
     @property
     def preunits(self) -> tuple:
-        """(nu_V, nu_W): nabla o (eta (x) eta) for weak laws, eta (x) eta
-        for honest ones."""
+        """(nu_V, nu_W), each nabla o (eta (x) eta) of its law."""
         a, b, c = self.a, self.b, self.c
-        if self.weak:
-            return (MonoidPair(a, b).preunit(self.l1),
-                    MonoidPair(a, c).preunit(self.l3))
-        return tensor(a.unit, b.unit), tensor(a.unit, c.unit)
+        return (MonoidPair(a, b).preunit(self.l1),
+                MonoidPair(a, c).preunit(self.l3))
 
 
 def triple_setup(t: LawTriple) -> IterSetup:
-    """The iteration data induced by a triple of (weak) laws.
+    """The iteration data induced by a triple of weak laws.
 
-    The link morphism is the identity for honest laws and the idempotent
-    of the inner pair (B, C, l2) in the weak case; the twisting morphism
-    is l2 in both cases.
+    The quadruples come from :func:`quadruple_from_wdl`, the link
+    morphism is the idempotent nabla of the inner pair (B, C, l2), the
+    identity for an honest l2, and the twisting morphism is l2.
     """
-    qv = (quadruple_from_wdl if t.weak else quadruple_from_dl)(t.a, t.b, t.l1)
-    qw = (quadruple_from_wdl if t.weak else quadruple_from_dl)(t.a, t.c, t.l3)
+    qv = quadruple_from_wdl(t.a, t.b, t.l1)
+    qw = quadruple_from_wdl(t.a, t.c, t.l3)
     bc = t.b.obj @ t.c.obj
-    if t.weak:
-        delta = FMor(bc, bc, MonoidPair(t.b, t.c).nabla(t.l2).mat)
-    else:
-        delta = identity(bc, t.a.field)
+    delta = FMor(bc, bc, MonoidPair(t.b, t.c).nabla(t.l2).mat)
     tau = FMor(t.c.obj @ t.b.obj, bc, t.l2.mat)
     return IterSetup(qv, qw, delta, tau)
 
@@ -324,7 +324,8 @@ def check_triple_formulas(t: LawTriple) -> Report:
     """Closed forms for the iterated structure of a law triple.
 
     The generic combined psi, sigma, product and preunit must coincide
-    with their advertised closed forms in terms of l1, l2, l3.
+    with their closed forms in l1, l2, l3, the link delta and the nabla
+    of (A, B, l1); on honest laws these are the honest closed forms.
     """
     a, b, c = t.a, t.b, t.c
     ida, idb, idc = a.id, b.id, c.id
@@ -333,57 +334,34 @@ def check_triple_formulas(t: LawTriple) -> Report:
     rep = Report()
     rep.add(check_yang_baxter(a, b, c, t.l1, t.l2, t.l3))
 
-    if t.weak:
-        nab_bc = MonoidPair(b, c).nabla(t.l2)
-        psi_closed = compose(tensor(t.l1, idc), tensor(idb, t.l3),
-                             tensor(nab_bc, ida))
-        sigma_closed = compose(
-            tensor(t.l1, c.mul),
-            tensor(b.mul, t.l3, idc),
-            tensor(idb, t.l2, a.unit, idc),
-        )
-        nab_ab = MonoidPair(a, b).nabla(t.l1)
-        mu_closed = compose(
-            tensor(a.mul, b.mul, c.mul),
-            tensor(ida, compose(
-                tensor(t.l1, t.l2),
-                tensor(idb, t.l3, idb),
-                tensor(nab_bc, nab_ab),
-            ), idc),
-        )
-        nu_closed = compose(
-            tensor(t.l1, idc), tensor(idb, t.l3), tensor(t.l2, ida),
-            tensor(c.unit, b.unit, a.unit),
-        )
-    else:
-        psi_closed = compose(tensor(t.l1, idc), tensor(idb, t.l3))
-        sigma_closed = compose(
-            tensor(a.unit, b.mul, c.mul),
-            tensor(idb, t.l2, idc),
-        )
-        mu_closed = compose(
-            tensor(a.mul, b.mul, c.mul),
-            tensor(ida, compose(
-                tensor(t.l1, t.l2),
-                tensor(idb, t.l3, idb),
-            ), idc),
-        )
-        nu_closed = tensor(a.unit, b.unit, c.unit)
+    psi_closed = compose(tensor(t.l1, idc), tensor(idb, t.l3),
+                         tensor(s.delta, ida))
+    sigma_closed = compose(
+        tensor(t.l1, c.mul),
+        tensor(b.mul, t.l3, idc),
+        tensor(idb, t.l2, a.unit, idc),
+    )
+    mu_closed = compose(
+        tensor(a.mul, b.mul, c.mul),
+        tensor(ida, compose(
+            tensor(t.l1, t.l2),
+            tensor(idb, t.l3, idb),
+            tensor(s.delta, s.qv.nabla),
+        ), idc),
+    )
+    nu_closed = compose(
+        tensor(t.l1, idc), tensor(idb, t.l3), tensor(t.l2, ida),
+        tensor(c.unit, b.unit, a.unit),
+    )
 
-    rep.add(check_equal("falso-idemp2", qvw.psi, FMor(
-        qvw.psi.dom, qvw.psi.cod, psi_closed.mat
-    ), note="closed form"))
-    rep.add(check_equal("def-sigma", qvw.sigma, FMor(
-        qvw.sigma.dom, qvw.sigma.cod, sigma_closed.mat
-    ), note="closed form"))
-    rep.add(check_equal("product1", qvw.product, FMor(
-        qvw.product.dom, qvw.product.cod, mu_closed.mat
-    ), note="closed form"))
     nu_v, nu_w = t.preunits
     pre, _ = iterated_preunit(s, Preunit(s.qv, nu_v), Preunit(s.qw, nu_w))
-    rep.add(check_equal("iterated-preunit", pre.nu, FMor(
-        pre.nu.dom, pre.nu.cod, nu_closed.mat
-    ), note="closed form"))
+    for label, built, closed in (("falso-idemp2", qvw.psi, psi_closed),
+                                 ("def-sigma", qvw.sigma, sigma_closed),
+                                 ("product1", qvw.product, mu_closed),
+                                 ("iterated-preunit", pre.nu, nu_closed)):
+        rep.add(check_equal(label, built, FMor(built.dom, built.cod, closed.mat),
+                            note="closed form"))
     return rep
 
 

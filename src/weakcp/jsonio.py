@@ -11,9 +11,9 @@ Scalar encodings: rationals are strings like ``"-3/7"`` or integers;
 prime-field entries are integers in ``0..p-1``.  JSON ``true`` and
 ``false`` are rejected wherever an integer is expected.  A matrix is
 ``{"rows": n, "cols": m, "entries": [...]}`` in row-major order.  This
-module is the one place where matrices are dense: the decoder builds
-them with the dense constructor ``Mat(rows, cols, entries, field)`` and
-the encoders read ``Mat.entries``.
+module is the only one where matrices are dense: the decoders turn the
+validated list into rows of nonzeros, and the encoders write it from the
+rows, each zero as ``0`` over GF(p) and ``"0"`` over Q.
 
 Malformed input raises :class:`WorkspaceError` carrying a JSON pointer
 (RFC 6901) to the offending field, which the CLI surfaces with exit
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 
 from .fdvect import FMor, FObj, MonoidData, UNIT, vobj
 from .fields import PrimeField, field_from_descriptor
@@ -126,11 +127,20 @@ def _decode_scalars(xs: list, field, ptr: str) -> tuple:
     return tuple(vals)
 
 
+def _dense(m: Mat) -> list:
+    """The row-major JSON entries of m, written from its rows."""
+    out = [0 if isinstance(m.field, PrimeField) else "0"] * (m.rows * m.cols)
+    for r, row in enumerate(m.nonzeros):
+        for c, x in row:
+            out[r * m.cols + c] = encode_scalar(x, m.field)
+    return out
+
+
 def encode_mat(m: Mat) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [encode_scalar(x, m.field) for x in m.entries],
+        "entries": _dense(m),
     }
 
 
@@ -148,12 +158,14 @@ def decode_mat(obj, field, ptr: str) -> Mat:
             f"{ptr}/entries",
         )
     vals = _decode_scalars(entries, field, f"{ptr}/entries")
-    return Mat(rows, cols, vals, field)
+    return Mat(rows, cols, tuple(
+        tuple(compress(zip(range(cols), row), row))
+        for row in (vals[r * cols:(r + 1) * cols] for r in range(rows))), field)
 
 
 def encode_vector(m: Mat) -> list:
     """A one-column matrix as a plain list of scalars."""
-    return [encode_scalar(x, m.field) for x in m.entries]
+    return _dense(m)
 
 
 def decode_vector(obj, length: int, field, ptr: str) -> Mat:
@@ -162,7 +174,8 @@ def decode_vector(obj, length: int, field, ptr: str) -> Mat:
         raise WorkspaceError(
             f"expected a vector of length {length}, got {len(obj)}", ptr
         )
-    return Mat(length, 1, _decode_scalars(obj, field, ptr), field)
+    return Mat(length, 1, tuple(((0, x),) if x else ()
+                                for x in _decode_scalars(obj, field, ptr)), field)
 
 
 # ---------------------------------------------------------------------------

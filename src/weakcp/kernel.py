@@ -16,12 +16,12 @@ echelon form, on rows held as dicts of their nonzeros: rank,
 right-solving, null spaces and the splitting of idempotents all read
 their results from it.
 
-The engine builds every matrix as rows of nonzeros
-(:meth:`Mat.from_nonzeros`); the dense row-major format belongs to the
-JSON workspace files alone.  Its decoder builds matrices with the dense
-constructor ``Mat(rows, cols, entries, field)``, and its encoders read
-the dense view ``entries``, derived on demand and cached, as do ``repr``
-and the benchmark's tracer.
+A matrix has one constructor, ``Mat(rows, cols, nonzeros, field)``,
+which takes its rows of nonzeros.  The dense row-major format belongs to
+the JSON workspace files alone, and :mod:`weakcp.jsonio` converts
+between it and the rows.  The dense view ``entries`` is derived on
+demand and cached, for ``repr``, the tests and the benchmark's tracer;
+no engine code reads it.
 
 Conventions (fixed for the whole engine):
 
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 from .fields import PrimeField, same_field
 
@@ -76,12 +75,9 @@ class Mat:
 
     ``nonzeros`` holds one tuple per row of that row's nonzero
     ``(column, value)`` pairs, columns ascending; zeros are never stored,
-    so equal matrices have equal ``nonzeros``.  ``Mat(rows, cols,
-    entries, field)`` takes the dense row-major entries, already in the
-    field, and drops the zeros: it serves the JSON decoder, whose format
-    is dense, and reference matrices in the tests.  The engine builds
-    its matrices with :meth:`from_nonzeros`, which takes the rows
-    directly.
+    so equal matrices have equal ``nonzeros``.  The caller guarantees
+    that layout: ``rows`` tuples, columns ascending and below ``cols``,
+    no zero values, values already in the field.
     """
 
     rows: int
@@ -89,24 +85,14 @@ class Mat:
     nonzeros: tuple
     field: object
 
-    def __init__(self, rows, cols, entries, field):
-        if len(entries) != rows * cols:
-            raise ShapeError(
-                f"{rows}x{cols} matrix needs {rows * cols} "
-                f"entries, got {len(entries)}"
-            )
-        columns = range(cols)
-        nonzeros = []
-        for r in range(rows):
-            row = entries[r * cols : (r + 1) * cols]
-            nonzeros.append(tuple(compress(zip(columns, row), row)))
-        self.__dict__.update(rows=rows, cols=cols, nonzeros=tuple(nonzeros),
+    def __init__(self, rows, cols, nonzeros, field):
+        self.__dict__.update(rows=rows, cols=cols, nonzeros=nonzeros,
                              field=field)
 
     @cached_property
     def entries(self) -> tuple:
-        """All rows * cols entries, row-major, zeros included, for the
-        JSON encoders, ``repr`` and the benchmark's tracer."""
+        """All rows * cols entries, row-major, zeros included, for
+        ``repr``, the tests and the benchmark's tracer."""
         cols = self.cols
         out = [self.field.zero()] * (self.rows * cols)
         for r, row in enumerate(self.nonzeros):
@@ -119,18 +105,6 @@ class Mat:
         r, c = rc
         return dict(self.nonzeros[r]).get(c, self.field.zero())
 
-    @classmethod
-    def from_nonzeros(cls, rows, cols, nonzeros, field) -> "Mat":
-        """A matrix from its rows of nonzero ``(column, value)`` pairs.
-
-        The caller guarantees the layout of ``nonzeros``: ``rows`` tuples,
-        columns ascending and below ``cols``, no zero values, values
-        already in the field.
-        """
-        m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, nonzeros=nonzeros, field=field)
-        return m
-
     def __repr__(self):
         entries, cols = self.entries, self.cols
         body = "; ".join(
@@ -142,7 +116,7 @@ class Mat:
 
 def identity_mat(n, field) -> Mat:
     one = field.one()
-    return Mat.from_nonzeros(n, n, tuple(((i, one),) for i in range(n)), field)
+    return Mat(n, n, tuple(((i, one),) for i in range(n)), field)
 
 
 def mat_compose(g: Mat, f: Mat) -> Mat:
@@ -187,7 +161,7 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
                               for j, v in sorted(acc.items()) if v]))
         else:
             out.append(tuple([(j, v) for j, x in sorted(acc.items()) if (v := x % p)]))
-    return Mat.from_nonzeros(g.rows, f.cols, tuple(out), field)
+    return Mat(g.rows, f.cols, tuple(out), field)
 
 
 def mat_tensor(f: Mat, g: Mat) -> Mat:
@@ -213,9 +187,9 @@ def mat_tensor(f: Mat, g: Mat) -> Mat:
                            for grow in g.nonzeros)
             else:
                 out.extend(g.nonzeros)
-        return Mat.from_nonzeros(*shape, tuple(out), field)
+        return Mat(*shape, tuple(out), field)
     if all(len(row) == 1 and row[0][1] == one for row in g.nonzeros):
-        return Mat.from_nonzeros(*shape, tuple(
+        return Mat(*shape, tuple(
             tuple([(j1 * gc + j2, a) for j1, a in frow])
             for frow in f.nonzeros for ((j2, _),) in g.nonzeros), field)
     fnz = [[(j1 * gc, a, a == one) for j1, a in frow] for frow in f.nonzeros]
@@ -225,7 +199,7 @@ def mat_tensor(f: Mat, g: Mat) -> Mat:
         for grow in gnz:
             out.append(tuple([(base + j2, b if ua else a if ub else mul(a, b))
                               for base, a, ua in frow for j2, b, ub in grow]))
-    return Mat.from_nonzeros(*shape, tuple(out), field)
+    return Mat(*shape, tuple(out), field)
 
 
 def mat_eq(f: Mat, g: Mat) -> bool:
@@ -336,7 +310,7 @@ def solve_right(a: Mat, b: Mat) -> Mat:
     x = [()] * n
     for col, row in pivots.items():
         x[col] = tuple(sorted((c - n, v) for c, v in row.items() if c >= n))
-    return Mat.from_nonzeros(n, b.cols, tuple(x), field)
+    return Mat(n, b.cols, tuple(x), field)
 
 
 def nullspace(m: Mat) -> Mat:
@@ -360,7 +334,7 @@ def nullspace(m: Mat) -> Mat:
             # the pivot row is 1 at i and 0 at the other pivot columns
             out.append(tuple(sorted((free[j], neg(x))
                                     for j, x in pivots[i].items() if j != i)))
-    return Mat.from_nonzeros(m.cols, len(free), tuple(out), field)
+    return Mat(m.cols, len(free), tuple(out), field)
 
 
 @dataclass(frozen=True)
@@ -391,10 +365,10 @@ def split_idempotent(e: Mat) -> Splitting:
     cols = sorted(pivots)
     r = len(cols)
     index = {c: k for k, c in enumerate(cols)}
-    inj = Mat.from_nonzeros(e.rows, r, tuple(
+    inj = Mat(e.rows, r, tuple(
         tuple((index[c], x) for c, x in row if c in index)
         for row in e.nonzeros), field)
-    proj = Mat.from_nonzeros(r, e.cols, tuple(
+    proj = Mat(r, e.cols, tuple(
         tuple(sorted(pivots[c].items())) for c in cols), field)
     if not mat_eq(mat_compose(inj, proj), e):
         raise AssertionError("internal error: splitting equations failed")

@@ -180,7 +180,7 @@ def _exchange_law(pair: MonoidPair) -> _ExchangeLaw:
         unit = [()] * ab.dim
         unit[i] = ((j, 1),)
         left, right = (side.mat for side in pair.exchange(
-            FMor(ba, ab, Mat.from_nonzeros(ab.dim, ba.dim, tuple(unit), f))))
+            FMor(ba, ab, Mat(ab.dim, ba.dim, tuple(unit), f))))
         for r, (lrow, rrow) in enumerate(zip(left.nonzeros, right.nonzeros)):
             if lrow == rrow:
                 continue
@@ -191,7 +191,7 @@ def _exchange_law(pair: MonoidPair) -> _ExchangeLaw:
                 if x := x % p:
                     crows.setdefault(r * left.cols + col, []).append((k, x))
     height = left.rows * left.cols
-    c = Mat.from_nonzeros(
+    c = Mat(
         height, n, tuple(tuple(crows.get(r, ())) for r in range(height)), f)
     rows = set(c.nonzeros)
     rows.discard(())
@@ -222,7 +222,7 @@ def _dl_polynomials(law: _ExchangeLaw, axioms) -> list:
         r, c = divmod(k, ba.dim)
         for j, x in row:
             rows[j][r].append((c, x))
-    laws = [FMor(ba, ab, Mat.from_nonzeros(
+    laws = [FMor(ba, ab, Mat(
         ab.dim, ba.dim, tuple(map(tuple, lam)), law.c.field)) for lam in rows]
     out = []
     for _, left, q, p in axioms:
@@ -352,7 +352,7 @@ def law_from_code(a: MonoidData, b: MonoidData, code: int) -> FMor:
             if x:
                 row.append((c, x))
         rows.append(tuple(row))
-    return FMor(ba, ab, Mat.from_nonzeros(ab.dim, ba.dim, tuple(rows), f))
+    return FMor(ba, ab, Mat(ab.dim, ba.dim, tuple(rows), f))
 
 
 def _mine(a: MonoidData, b: MonoidData, codes) -> MineResult:

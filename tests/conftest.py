@@ -18,6 +18,19 @@ from weakcp.kernel import (
 from weakcp.wcp import Quadruple
 
 
+def dense_mat(rows, cols, entries, field) -> Mat:
+    """The matrix of the row-major ``entries``, zeros included, each
+    already in the field: the engine's one constructor takes rows of
+    nonzeros, and dense literals are the tests' reference format."""
+    if len(entries) != rows * cols:
+        raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} "
+                         f"entries, got {len(entries)}")
+    return Mat(rows, cols, tuple(
+        tuple((c, x) for c, x in enumerate(entries[r * cols:(r + 1) * cols])
+              if x)
+        for r in range(rows)), field)
+
+
 def from_rows(rows, field) -> Mat:
     """A matrix from a row-major nested list of literal entries, each
     coerced into the field: the dense reference the engine's builders
@@ -25,8 +38,8 @@ def from_rows(rows, field) -> Mat:
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
         raise ShapeError("ragged rows")
-    return Mat(len(rows), ncols,
-               tuple(field.coerce(x) for row in rows for x in row), field)
+    return dense_mat(len(rows), ncols,
+                     tuple(field.coerce(x) for row in rows for x in row), field)
 
 
 def mor(dom, cod, rows, field) -> FMor:
@@ -41,7 +54,7 @@ def random_entry(rng, field):
 
 
 def random_mat(rng, rows, cols, field) -> Mat:
-    return Mat(
+    return dense_mat(
         rows, cols,
         tuple(random_entry(rng, field) for _ in range(rows * cols)),
         field,

@@ -16,7 +16,6 @@ from weakcp.fixtures import (
     cyclic_group_algebra,
     diagonal_algebra,
     q_twist,
-    quadruple_from_dl,
     quadruple_from_wdl,
     quantum_plane_triple,
     skew_group_double,
@@ -76,7 +75,7 @@ def test_q_twist_degree_zero_is_flip_block():
 
 def test_strict_law_gives_quadruple_with_identity_nabla():
     t = quantum_plane_triple()
-    q = quadruple_from_dl(t.a, t.b, t.l1)
+    q = quadruple_from_wdl(t.a, t.b, t.l1)
     assert check_quadruple(q).ok
     assert mat_eq(q.nabla.mat, identity_mat(q.a.dim * q.v.dim, GF(5)))
 

@@ -38,6 +38,14 @@ def test_mat_round_trip_prime_field():
     assert mat_eq(decode_mat(enc, GF(5), ""), m)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (2, 0)])
+def test_mat_round_trip_empty_shapes(rows, cols):
+    enc = {"rows": rows, "cols": cols, "entries": []}
+    m = decode_mat(enc, QQ, "")
+    assert m.nonzeros == ((),) * rows
+    assert encode_mat(m) == enc
+
+
 def test_mat_entry_count_checked():
     with pytest.raises(WorkspaceError) as exc:
         decode_mat({"rows": 2, "cols": 2, "entries": [1, 2, 3]}, GF(5), "/m")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELDS, from_rows, random_idempotent, random_mat
+from conftest import FIELDS, dense_mat, from_rows, random_idempotent, random_mat
 from weakcp.fdvect import FMor, FObj, check_equal
 from weakcp.fields import GF, QQ, FieldMismatchError
 from weakcp.kernel import (
@@ -30,7 +30,7 @@ from weakcp.report import Witness
 
 
 def _zero(rows, cols, field):
-    return Mat.from_nonzeros(rows, cols, ((),) * rows, field)
+    return Mat(rows, cols, ((),) * rows, field)
 
 
 def test_compose_basic():
@@ -265,7 +265,7 @@ def _oracle_solve_right(a, b):
     for r, col in pivots:
         for c in range(b.cols):
             x[col][c] = field.div(rows[r][n + c], rows[r][col])
-    return Mat(n, b.cols, tuple(v for row in x for v in row), field)
+    return dense_mat(n, b.cols, tuple(v for row in x for v in row), field)
 
 
 def _oracle_nullspace(m):
@@ -283,8 +283,8 @@ def _oracle_nullspace(m):
             if rows[r][f]:
                 v[c] = field.neg(field.div(rows[r][f], rows[r][c]))
         basis.append(v)
-    return Mat(m.cols, len(basis),
-               tuple(v[i] for i in range(m.cols) for v in basis), field)
+    return dense_mat(m.cols, len(basis),
+                     tuple(v[i] for i in range(m.cols) for v in basis), field)
 
 
 def _oracle_split(e):
@@ -305,9 +305,10 @@ def _oracle_split(e):
                         f"{field.fmt(rows[i][j])}")
     pivots = _gauss_jordan(rows, n, field)
     r = len(pivots)
-    inj = Mat(n, r, tuple(e[i, j] for i in range(n) for _, j in pivots), field)
-    proj = Mat(r, n, tuple(field.div(x, rows[i][j])
-                           for i, j in pivots for x in rows[i]), field)
+    inj = dense_mat(n, r, tuple(e[i, j] for i in range(n) for _, j in pivots),
+                    field)
+    proj = dense_mat(r, n, tuple(field.div(x, rows[i][j])
+                                 for i, j in pivots for x in rows[i]), field)
     return inj, proj
 
 
@@ -319,7 +320,7 @@ def _sparse_operand(data, rng, rows, cols, field):
                                 random_mat(rng, k, cols, field)))
     zero_rows = data.draw(st.sets(st.integers(0, max(rows - 1, 0))), label="zr")
     zero_cols = data.draw(st.sets(st.integers(0, max(cols - 1, 0))), label="zc")
-    return Mat(rows, cols, tuple(
+    return dense_mat(rows, cols, tuple(
         field.zero() if r in zero_rows or c in zero_cols else x
         for r, row in enumerate(m) for c, x in enumerate(row)), field)
 
@@ -363,11 +364,11 @@ def _columns_outside_earlier_span(m):
     out = []
     rows = _dense_rows(m)
     for j in range(m.cols):
-        before = Mat(m.rows, j, tuple(x for row in rows for x in row[:j]),
-                     m.field)
+        before = dense_mat(m.rows, j,
+                           tuple(x for row in rows for x in row[:j]), m.field)
         try:
-            solve_right(before, Mat(m.rows, 1, tuple(row[j] for row in rows),
-                                    m.field))
+            solve_right(before, dense_mat(
+                m.rows, 1, tuple(row[j] for row in rows), m.field))
         except InconsistentSystemError:
             out.append(j)
     return out
@@ -395,7 +396,7 @@ def test_split_pivots_are_columns_outside_earlier_span(data):
     e = random_idempotent(rng, data.draw(st.integers(1, 6)), field)
     sp = split_idempotent(e)
     pivots = _columns_outside_earlier_span(e)
-    assert mat_eq(sp.inj, Mat(e.rows, len(pivots), tuple(
+    assert mat_eq(sp.inj, dense_mat(e.rows, len(pivots), tuple(
         e[i, j] for i in range(e.rows) for j in pivots), field))
     # the reference construction: solve inj o proj = E for proj
     assert mat_eq(sp.proj, solve_right(sp.inj, e))
@@ -460,7 +461,7 @@ def _pool(field, rng):
 
 def _sparse_mat(rng, rows, cols, field, density):
     pool = _pool(field, rng)
-    return Mat(rows, cols, tuple(
+    return dense_mat(rows, cols, tuple(
         rng.choice(pool) if rng.random() < density else field.zero()
         for _ in range(rows * cols)), field)
 
@@ -488,7 +489,7 @@ def _naive_tensor(f, g):
 
 def _unit_rows_mat(rows, cols, targets, field):
     """The matrix whose row r is a single 1 at column targets[r]."""
-    return Mat.from_nonzeros(rows, cols, tuple(
+    return Mat(rows, cols, tuple(
         ((t, field.one()),) for t in targets), field)
 
 
@@ -538,7 +539,8 @@ def test_products_match_naive_reference(data):
         for i in range(n):
             ge[i * k + 1] = field.neg(ge[i * k])
         fe[m : 2 * m] = fe[:m]
-        g, f = Mat(n, k, tuple(ge), field), Mat(k, m, tuple(fe), field)
+        g = dense_mat(n, k, tuple(ge), field)
+        f = dense_mat(k, m, tuple(fe), field)
     product = mat_compose(g, f)
     assert (product.rows, product.cols) == (n, m)
     assert product.entries == _naive_compose(g, f)
@@ -573,7 +575,7 @@ def _check_storage(m, field, rng):
         assert columns == sorted(set(columns))
         assert all(0 <= c < m.cols for c in columns)
         assert all(x for _, x in row)
-    rebuilt = Mat(m.rows, m.cols, m.entries, field)
+    rebuilt = dense_mat(m.rows, m.cols, m.entries, field)
     assert rebuilt == m
     # the same shape: m rebuilt, m with one entry changed, an unrelated matrix
     others = [rebuilt, _sparse_mat(rng, m.rows, m.cols, field, rng.random())]
@@ -585,7 +587,7 @@ def _check_storage(m, field, rng):
         changed[idx] = rng.choice(
             [field.zero()] + [x for x in pool if x != changed[idx]]
             if changed[idx] else pool)
-        others.append(Mat(m.rows, m.cols, tuple(changed), field))
+        others.append(dense_mat(m.rows, m.cols, tuple(changed), field))
     dom, cod = FObj((("X", m.cols),)), FObj((("Y", m.rows),))
     for other in others:
         diff = _dense_difference(m, other)

@@ -2,14 +2,14 @@
 
 import pytest
 
-from conftest import trivial_preunit, trivial_quadruple
+from conftest import dense_mat, trivial_preunit, trivial_quadruple
 from weakcp.fdvect import UNIT, check_monoid, compose, identity, tensor
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
     flip_fixture,
     skew_group_double,
 )
-from weakcp.kernel import Mat, mat_eq
+from weakcp.kernel import mat_eq
 from weakcp.preunit import Preunit, build_unital, derive_psi_sigma
 from weakcp.wcp import PreconditionError, build_crossed_product
 
@@ -87,14 +87,14 @@ def test_build_unital_rejects_bad_preunit():
     q, nu = fix.setup.qv, fix.nu_v
     entries = list(nu.mat.entries)
     entries[0] = (entries[0] + 1) % 3
-    bad = type(nu)(UNIT, nu.cod, Mat(nu.mat.rows, 1, tuple(entries), GF(3)))
+    bad = type(nu)(UNIT, nu.cod, dense_mat(nu.mat.rows, 1, tuple(entries), GF(3)))
     cp = build_crossed_product(q)
     # unverified: build_unital requires the preunit axioms first ...
     with pytest.raises(PreconditionError) as exc:
         build_unital(cp, Preunit(q, bad))
     assert exc.value.report.failed_labels() == ["preunit"]
     # ... then the preunit system: the zero map passes the axioms only
-    zero = type(nu)(UNIT, nu.cod, Mat(nu.mat.rows, 1, (0,) * 4, GF(3)))
+    zero = type(nu)(UNIT, nu.cod, dense_mat(nu.mat.rows, 1, (0,) * 4, GF(3)))
     with pytest.raises(PreconditionError) as exc:
         build_unital(cp, Preunit(q, zero))
     assert exc.value.report.failed_labels() == ["pre1-wcp", "pre2-wcp"]
@@ -114,6 +114,6 @@ def test_derive_rejects_nonassociative_product():
     entries = list(mu.mat.entries)
     entries[0] = entries[0] + 1
     bad = type(mu)(mu.dom, mu.cod,
-                   Mat(mu.mat.rows, mu.mat.cols, tuple(entries), QQ))
+                   dense_mat(mu.mat.rows, mu.mat.cols, tuple(entries), QQ))
     with pytest.raises(PreconditionError):
         derive_psi_sigma(q.monoid, q.v, bad, nu)

@@ -55,19 +55,13 @@ def test_psi_off_witness_is_fractional(capsys):
 ], ids=["flip_triple_q", "q_half"])
 def test_iso_stores_no_whole_fraction(path, monkeypatch, capsys):
     built = []
-    init, from_nonzeros = Mat.__init__, Mat.from_nonzeros.__func__
+    init = Mat.__init__
 
     def spy_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    def spy_from_nonzeros(cls, *args, **kwargs):
-        m = from_nonzeros(cls, *args, **kwargs)
-        built.append(m)
-        return m
-
     monkeypatch.setattr(Mat, "__init__", spy_init)
-    monkeypatch.setattr(Mat, "from_nonzeros", classmethod(spy_from_nonzeros))
     assert main(["iso", path]) == 0
     capsys.readouterr()
     assert len(built) > 100

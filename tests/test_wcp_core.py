@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import dense_mat
 from weakcp.fdvect import compose, identity, tensor
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import flip_quadruple, skew_group_quadruple
@@ -79,11 +80,9 @@ def corrupted_flip(field):
     q = flip_quadruple(field)
     entries = list(q.sigma.mat.entries)
     entries[1] = field.add(entries[1], field.one())
-    from weakcp.kernel import Mat
-
     sigma = type(q.sigma)(q.sigma.dom, q.sigma.cod,
-                          Mat(q.sigma.mat.rows, q.sigma.mat.cols,
-                              tuple(entries), field))
+                          dense_mat(q.sigma.mat.rows, q.sigma.mat.cols,
+                                    tuple(entries), field))
     return Quadruple(q.monoid, q.v, q.psi, sigma)
 
 
