@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .kernel import (
     Mat,
@@ -25,6 +24,7 @@ from .kernel import (
     identity_mat,
     mat_compose,
     mat_tensor,
+    mat_whisker,
 )
 from .report import Report, ReportItem, Witness, _unflatten
 
@@ -52,6 +52,8 @@ class FObj:
         return tuple(d for _, d in self.factors)
 
     def __matmul__(self, other: "FObj") -> "FObj":
+        if not self.factors or not other.factors:  # K is the empty word
+            return other if not self.factors else self
         # both dimensions are known: multiply them, not all the factors
         out = object.__new__(FObj)
         out.__dict__.update(factors=self.factors + other.factors,
@@ -158,13 +160,27 @@ def compose(*fs: FMor) -> FMor:
     return out
 
 
-def tensor(*fs: FMor) -> FMor:
-    """Tensor product of morphisms, left to right."""
-    if not fs:
+def tensor(*fs) -> FMor:
+    """Tensor product, left to right, where an object stands for its
+    identity: ``tensor(A, psi, V)`` is the whisker A (x) psi (x) V.  Each
+    morphism, with the objects after it (the first one also with those
+    before it), is one whisker, built by ``mat_whisker`` in one pass."""
+    out, x, i = None, UNIT, 0
+    while i < len(fs):
+        f, i, y = fs[i], i + 1, UNIT
+        if isinstance(f, FObj):  # before the first morphism
+            x = x @ f
+            continue
+        while i < len(fs) and isinstance(fs[i], FObj):
+            y, i = y @ fs[i], i + 1
+        if x.factors or y.factors:
+            f = FMor(x @ f.dom @ y, x @ f.cod @ y,
+                     mat_whisker(x.dim, f.mat, y.dim))
+        out = f if out is None else FMor(
+            out.dom @ f.dom, out.cod @ f.cod, mat_tensor(out.mat, f.mat))
+        x = UNIT
+    if out is None:
         raise ValueError("tensor needs at least one morphism")
-    out = fs[0]
-    for f in fs[1:]:
-        out = FMor(out.dom @ f.dom, out.cod @ f.cod, mat_tensor(out.mat, f.mat))
     return out
 
 
@@ -208,8 +224,8 @@ class MonoidData:
     """A finite-dimensional associative unital algebra.
 
     ``mul`` is a map A (x) A -> A and ``unit`` a map K -> A, both exact
-    matrices over the carried field.  ``id``, the identity of A, is built
-    on first use and then kept, so every whisker of this monoid shares it.
+    matrices over the carried field.  A whisker of the monoid names its
+    object: ``tensor(m.mul, m.obj)`` is mu (x) A.
     """
 
     name: str
@@ -224,10 +240,6 @@ class MonoidData:
     @property
     def field(self):
         return self.mul.field
-
-    @cached_property
-    def id(self) -> FMor:
-        return identity(self.obj, self.field)
 
 
 def algebra(name: str, dim: int, product, unit, field) -> MonoidData:
@@ -245,14 +257,14 @@ def algebra(name: str, dim: int, product, unit, field) -> MonoidData:
 
 def check_monoid(m: MonoidData, prefix: str = "") -> Report:
     """Associativity and the two unit laws, as witnessed checks."""
-    mu, eta, ida = m.mul, m.unit, m.id
+    mu, eta, a = m.mul, m.unit, m.obj
+    ida = identity(a, m.field)
     rep = Report()
     rep.add(check_equal(
         prefix + "assoc",
-        compose(mu, tensor(mu, ida)),
-        compose(mu, tensor(ida, mu)),
+        compose(mu, tensor(mu, a)),
+        compose(mu, tensor(a, mu)),
     ))
-    rep.add(check_equal(prefix + "unit-left", compose(mu, tensor(eta, ida)), ida))
-    rep.add(check_equal(prefix + "unit-right", compose(mu, tensor(ida, eta)), ida))
+    rep.add(check_equal(prefix + "unit-left", compose(mu, tensor(eta, a)), ida))
+    rep.add(check_equal(prefix + "unit-right", compose(mu, tensor(a, eta)), ida))
     return rep
-

@@ -56,27 +56,27 @@ class MonoidPair:
 
     @cached_property
     def mua_b(self) -> FMor:  # mu_A (x) B
-        return tensor(self.a.mul, self.b.id)
+        return tensor(self.a.mul, self.b.obj)
 
     @cached_property
     def a_mub(self) -> FMor:  # A (x) mu_B
-        return tensor(self.a.id, self.b.mul)
+        return tensor(self.a.obj, self.b.mul)
 
     @cached_property
     def etab_a(self) -> FMor:  # eta_B (x) A
-        return tensor(self.b.unit, self.a.id)
+        return tensor(self.b.unit, self.a.obj)
 
     @cached_property
     def b_etaa(self) -> FMor:  # B (x) eta_A
-        return tensor(self.b.id, self.a.unit)
+        return tensor(self.b.obj, self.a.unit)
 
     @cached_property
     def mub_a(self) -> FMor:  # mu_B (x) A
-        return self.mua_b if self.a is self.b else tensor(self.b.mul, self.a.id)
+        return self.mua_b if self.a is self.b else tensor(self.b.mul, self.a.obj)
 
     @cached_property
     def b_mua(self) -> FMor:  # B (x) mu_A
-        return self.a_mub if self.a is self.b else tensor(self.b.id, self.a.mul)
+        return self.a_mub if self.a is self.b else tensor(self.b.obj, self.a.mul)
 
     @cached_property
     def products(self) -> tuple:
@@ -90,16 +90,15 @@ class MonoidPair:
         DL1: lam (mu_B (x) A) = (A (x) mu_B)(lam (x) B)(B (x) lam);
         DL3: lam (B (x) mu_A) = (mu_A (x) B)(A (x) lam)(lam (x) A).
         """
-        ida, idb = self.a.id, self.b.id
         return (
             ("DL1",
              lambda lam: compose(lam, self.mub_a),
-             lambda lam: compose(self.a_mub, tensor(lam, idb)),
-             lambda lam: tensor(idb, lam)),
+             lambda lam: compose(self.a_mub, tensor(lam, self.b.obj)),
+             lambda lam: tensor(self.b.obj, lam)),
             ("DL3",
              lambda lam: compose(lam, self.b_mua),
-             lambda lam: compose(self.mua_b, tensor(ida, lam)),
-             lambda lam: tensor(lam, ida)),
+             lambda lam: compose(self.mua_b, tensor(self.a.obj, lam)),
+             lambda lam: tensor(lam, self.a.obj)),
         )
 
     def check_products(self, lam: FMor) -> list:
@@ -113,7 +112,7 @@ class MonoidPair:
         and (mu_A (x) B)(A (x) lam(B (x) eta_A)) = ``nabla(lam)`` on the
         right."""
         left = compose(self.a_mub,
-                       tensor(compose(lam, self.etab_a), self.b.id))
+                       tensor(compose(lam, self.etab_a), self.b.obj))
         return left, self.nabla(lam)
 
     def check_wdl(self, lam: FMor) -> Report:
@@ -130,12 +129,12 @@ class MonoidPair:
         rep.add(check_equal(
             "WDL1",
             compose(lam, self.etab_a),
-            compose(self.mua_b, tensor(a.id, corner)),
+            compose(self.mua_b, tensor(a.obj, corner)),
         ))
         rep.add(check_equal(
             "WDL2",
             compose(lam, self.b_etaa),
-            compose(self.a_mub, tensor(corner, b.id)),
+            compose(self.a_mub, tensor(corner, b.obj)),
         ))
         return rep
 
@@ -148,7 +147,6 @@ class MonoidPair:
         fixture.
         """
         a, b = self.a, self.b
-        ida, idb = a.id, b.id
         nab = self.nabla(lam)
         sig = self.sigma(lam)
         rep = Report()
@@ -160,13 +158,13 @@ class MonoidPair:
         ))
         rep.add(check_equal(
             "new-nabla",
-            compose(self.a_mub, tensor(lam, idb), tensor(idb, nab)),
-            compose(self.a_mub, tensor(lam, idb)),
+            compose(self.a_mub, tensor(lam, b.obj), tensor(b.obj, nab)),
+            compose(self.a_mub, tensor(lam, b.obj)),
         ))
         rep.add(check_equal(
             "tech2",
-            compose(self.mua_b, tensor(ida, lam), tensor(nab, ida)),
-            compose(self.mua_b, tensor(ida, lam)),
+            compose(self.mua_b, tensor(a.obj, lam), tensor(nab, a.obj)),
+            compose(self.mua_b, tensor(a.obj, lam)),
         ))
         rep.add(check_equal("tech3", sig, compose(lam, tensor(b.mul, a.unit))))
         return rep
@@ -182,12 +180,12 @@ class MonoidPair:
     def nabla(self, lam: FMor) -> FMor:
         """The idempotent (mu_A (x) B) o (A (x) (lam o (B (x) eta_A)))."""
         return compose(self.mua_b,
-                       tensor(self.a.id, compose(lam, self.b_etaa)))
+                       tensor(self.a.obj, compose(lam, self.b_etaa)))
 
     def sigma(self, lam: FMor) -> FMor:
         """sigma = (A (x) mu_B) o ((lam o (B (x) eta_A)) (x) B)."""
         return compose(self.a_mub,
-                       tensor(compose(lam, self.b_etaa), self.b.id))
+                       tensor(compose(lam, self.b_etaa), self.b.obj))
 
     def preunit(self, lam: FMor) -> FMor:
         """nu = nabla o (eta_A (x) eta_B)."""
@@ -201,36 +199,35 @@ def check_wreath(a: MonoidData, b: MonoidData, lam: FMor, tau: FMor, v: FMor) ->
     v : B (x) B -> A (x) B.
     """
     pair = MonoidPair(a, b)
-    ida, idb = a.id, b.id
     muab = pair.mua_b
-    target = tensor(a.unit, idb)
+    target = tensor(a.unit, b.obj)
     rep = Report()
     rep.add(check_equal(
         "W1",
-        compose(muab, tensor(ida, lam), tensor(lam, ida)),
+        compose(muab, tensor(a.obj, lam), tensor(lam, a.obj)),
         compose(lam, pair.b_mua),
     ))
     rep.add(check_equal("W2", compose(lam, pair.b_etaa), target))
     rep.add(check_equal(
         "W3",
-        compose(muab, tensor(ida, tau)),
-        compose(muab, tensor(ida, lam), tensor(tau, ida)),
+        compose(muab, tensor(a.obj, tau)),
+        compose(muab, tensor(a.obj, lam), tensor(tau, a.obj)),
     ))
     rep.add(check_equal(
         "W4",
-        compose(muab, tensor(ida, v), tensor(lam, idb), tensor(idb, lam)),
-        compose(muab, tensor(ida, lam), tensor(v, ida)),
+        compose(muab, tensor(a.obj, v), tensor(lam, b.obj), tensor(b.obj, lam)),
+        compose(muab, tensor(a.obj, lam), tensor(v, a.obj)),
     ))
     rep.add(check_equal(
         "W5",
-        compose(muab, tensor(ida, v), tensor(v, idb)),
-        compose(muab, tensor(ida, v), tensor(lam, idb), tensor(idb, v)),
+        compose(muab, tensor(a.obj, v), tensor(v, b.obj)),
+        compose(muab, tensor(a.obj, v), tensor(lam, b.obj), tensor(b.obj, v)),
     ))
     rep.add(check_equal_all(
         "W6",
-        (compose(muab, tensor(ida, v), tensor(tau, idb)), target, "left half"),
-        (target, compose(muab, tensor(ida, v), tensor(lam, idb),
-                         tensor(idb, tau)), "right half"),
+        (compose(muab, tensor(a.obj, v), tensor(tau, b.obj)), target, "left half"),
+        (target, compose(muab, tensor(a.obj, v), tensor(lam, b.obj),
+                         tensor(b.obj, tau)), "right half"),
     ))
     return rep
 
@@ -241,9 +238,9 @@ def check_distributive_law(a: MonoidData, b: MonoidData, lam: FMor) -> Report:
     dl1, dl3 = pair.check_products(lam)
     rep = Report()
     rep.add(dl1)
-    rep.add(check_equal("DL2", compose(lam, pair.etab_a), tensor(a.id, b.unit)))
+    rep.add(check_equal("DL2", compose(lam, pair.etab_a), tensor(a.obj, b.unit)))
     rep.add(dl3)
-    rep.add(check_equal("DL4", compose(lam, pair.b_etaa), tensor(a.unit, b.id)))
+    rep.add(check_equal("DL4", compose(lam, pair.b_etaa), tensor(a.unit, b.obj)))
     return rep
 
 
@@ -264,11 +261,10 @@ def check_yang_baxter(a: MonoidData, b: MonoidData, c: MonoidData,
                       l1: FMor, l2: FMor, l3: FMor) -> ReportItem:
     """The hexagon relation for l1 : B(x)A -> A(x)B, l2 : C(x)B -> B(x)C,
     l3 : C(x)A -> A(x)C."""
-    ida, idb, idc = a.id, b.id, c.id
     return check_equal(
         "YB-Comp",
-        compose(tensor(ida, l2), tensor(l3, idb), tensor(idc, l1)),
-        compose(tensor(l1, idc), tensor(idb, l3), tensor(l2, ida)),
+        compose(tensor(a.obj, l2), tensor(l3, b.obj), tensor(c.obj, l1)),
+        compose(tensor(l1, c.obj), tensor(b.obj, l3), tensor(l2, a.obj)),
     )
 
 
@@ -328,29 +324,28 @@ def check_triple_formulas(t: LawTriple) -> Report:
     of (A, B, l1); on honest laws these are the honest closed forms.
     """
     a, b, c = t.a, t.b, t.c
-    ida, idb, idc = a.id, b.id, c.id
     s = triple_setup(t)
     qvw = s.qvw
     rep = Report()
     rep.add(check_yang_baxter(a, b, c, t.l1, t.l2, t.l3))
 
-    psi_closed = compose(tensor(t.l1, idc), tensor(idb, t.l3),
-                         tensor(s.delta, ida))
+    psi_closed = compose(tensor(t.l1, c.obj), tensor(b.obj, t.l3),
+                         tensor(s.delta, a.obj))
     sigma_closed = compose(
         tensor(t.l1, c.mul),
-        tensor(b.mul, t.l3, idc),
-        tensor(idb, t.l2, a.unit, idc),
+        tensor(b.mul, t.l3, c.obj),
+        tensor(b.obj, t.l2, a.unit, c.obj),
     )
     mu_closed = compose(
         tensor(a.mul, b.mul, c.mul),
-        tensor(ida, compose(
+        tensor(a.obj, compose(
             tensor(t.l1, t.l2),
-            tensor(idb, t.l3, idb),
+            tensor(b.obj, t.l3, b.obj),
             tensor(s.delta, s.qv.nabla),
-        ), idc),
+        ), c.obj),
     )
     nu_closed = compose(
-        tensor(t.l1, idc), tensor(idb, t.l3), tensor(t.l2, ida),
+        tensor(t.l1, c.obj), tensor(b.obj, t.l3), tensor(t.l2, a.obj),
         tensor(c.unit, b.unit, a.unit),
     )
 
@@ -376,23 +371,22 @@ def check_brzezinski(q: Quadruple, eta_v: FMor) -> Report:
     eta_v : K -> V is the distinguished element; when these hold the
     idempotent is the identity and eta_A (x) eta_V is a genuine unit.
     """
-    ida, idv = q.monoid.id, q.idv
     rep = Report()
     rep.add(check_equal(
-        "brz1", compose(q.psi, tensor(eta_v, ida)), tensor(ida, eta_v)
+        "brz1", compose(q.psi, tensor(eta_v, q.a)), tensor(q.a, eta_v)
     ))
     rep.add(check_equal(
-        "brz2", compose(q.psi, tensor(idv, q.monoid.unit)),
-        tensor(q.monoid.unit, idv),
+        "brz2", compose(q.psi, tensor(q.v, q.monoid.unit)),
+        tensor(q.monoid.unit, q.v),
     ))
-    target = tensor(q.monoid.unit, idv)
+    target = tensor(q.monoid.unit, q.v)
     rep.add(check_equal_all(
         "brz3",
-        (compose(q.sigma, tensor(eta_v, idv)), target, "left half"),
-        (compose(q.sigma, tensor(idv, eta_v)), target, "right half"),
+        (compose(q.sigma, tensor(eta_v, q.v)), target, "left half"),
+        (compose(q.sigma, tensor(q.v, eta_v)), target, "right half"),
     ))
     rep.add(check_equal(
-        "idem-wcp", q.nabla, q.idav,
+        "idem-wcp", q.nabla, identity(q.a @ q.v, q.field),
         note="trivial idempotent",
     ))
     return rep
@@ -405,36 +399,36 @@ def check_dp(s: IterSetup, eta_v: FMor, eta_w: FMor) -> Report:
     composing the general twisting compatibility with the units on either
     side must give back the first two axioms.
     """
-    ida, idv, idw = s.ids()
+    a, v, w = s.qv.a, s.qv.v, s.qw.v
     tau = s.tau
     psi_v, psi_w = s.qv.psi, s.qw.psi
     sig_v, sig_w = s.qv.sigma, s.qw.sigma
     rep = Report()
     rep.add(check_equal(
         "DP1",
-        compose(tensor(ida, tau), tensor(psi_w, idv), tensor(idw, sig_v)),
-        compose(tensor(sig_v, idw), tensor(idv, tau), tensor(tau, idv)),
+        compose(tensor(a, tau), tensor(psi_w, v), tensor(w, sig_v)),
+        compose(tensor(sig_v, w), tensor(v, tau), tensor(tau, v)),
     ))
     rep.add(check_equal(
         "DP2",
-        compose(tensor(psi_v, idw), tensor(idv, sig_w), tensor(tau, idw),
-                tensor(idw, tau)),
-        compose(tensor(ida, tau), tensor(sig_w, idv)),
+        compose(tensor(psi_v, w), tensor(v, sig_w), tensor(tau, w),
+                tensor(w, tau)),
+        compose(tensor(a, tau), tensor(sig_w, v)),
     ))
     rep.add(check_equal(
-        "DP3", compose(tau, tensor(eta_w, idv)), tensor(idv, eta_w)
+        "DP3", compose(tau, tensor(eta_w, v)), tensor(v, eta_w)
     ))
     rep.add(check_equal(
-        "DP4", compose(tau, tensor(idw, eta_v)), tensor(eta_v, idw)
+        "DP4", compose(tau, tensor(w, eta_v)), tensor(eta_v, w)
     ))
 
     lhs, rhs = twisting_sides(s)
-    plug1 = tensor(idw, idv, eta_w, idv)
+    plug1 = tensor(w, v, eta_w, v)
     rep.add(check_equal(
         "DP1", compose(lhs, plug1), compose(rhs, plug1),
         note="recovered from the general compatibility",
     ))
-    plug2 = tensor(idw, eta_v, idw, idv)
+    plug2 = tensor(w, eta_v, w, v)
     rep.add(check_equal(
         "DP2", compose(lhs, plug2), compose(rhs, plug2),
         note="recovered from the general compatibility",
@@ -506,7 +500,7 @@ def flip_quadruple(field, vname="V"):
     psi = swap(v, a.obj, field)
     gamma = mor_from_map(v @ v, v,
                          lambda m: {m[:1]: 1} if m[0] == m[1] else {}, field)
-    sigma = compose(tensor(a.unit, identity(v, field)), gamma)
+    sigma = compose(tensor(a.unit, v), gamma)
     return Quadruple(a, v, psi, sigma)
 
 

@@ -26,6 +26,7 @@ from .fdvect import (
     check_equal,
     check_monoid,
     compose,
+    identity,
     tensor,
     vobj,
 )
@@ -38,28 +39,28 @@ from .wcp import build_crossed_product, require
 
 def check_newit(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     """The three extra identities that make the two-stage product work."""
-    ida, idv, idw = s.ids()
+    a, v, w = s.qv.a, s.qv.v, s.qw.v
     psi_v, psi_w = s.qv.psi, s.qw.psi
     sig_v, sig_w = s.qv.sigma, s.qw.sigma
     nab = s.qvw.nabla
     rep = Report()
-    inner1 = compose(s.qv.mupsi, tensor(sig_v, ida))
+    inner1 = compose(s.qv.mupsi, tensor(sig_v, a))
     rep.add(check_equal(
         "new-it-1",
-        compose(nab, tensor(inner1, idw), tensor(idv, idv, nu_w)),
+        compose(nab, tensor(inner1, w), tensor(v, v, nu_w)),
         compose(nab, s.musigma_w, tensor(psi_v, s.tau),
-                tensor(idv, nu_w, idv)),
+                tensor(v, nu_w, v)),
     ))
     rep.add(check_equal(
         "new-it-2",
-        compose(nab, tensor(sig_v, idw)),
+        compose(nab, tensor(sig_v, w)),
         compose(s.mupsi_w, tensor(sig_v, psi_w),
-                tensor(idv, s.delta, s.qv.monoid.unit)),
+                tensor(v, s.delta, s.qv.monoid.unit)),
     ))
     rep.add(check_equal(
         "new-it-3",
-        compose(nab, tensor(psi_v, idw), tensor(idv, sig_w)),
-        compose(tensor(psi_v, idw), tensor(idv, sig_w), tensor(s.delta, idw)),
+        compose(nab, tensor(psi_v, w), tensor(v, sig_w)),
+        compose(tensor(psi_v, w), tensor(v, sig_w), tensor(s.delta, w)),
     ))
     return rep
 
@@ -101,7 +102,7 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     a monoid isomorphism onto A x (V (x) W) and the two sides of equal
     dimension.
     """
-    idw = s.qw.idv
+    w = s.qw.v
     pre_v, pre_w = Preunit(s.qv, nu_v), Preunit(s.qw, nu_w)
     qvw, _ = build_iterated(s)
     pre_vw, _ = iterated_preunit(s, pre_v, pre_w)
@@ -120,19 +121,19 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     ))
     rep.add(check_equal("i-axv-unit", compose(i_axv, ucp_v.unit), ucp_vw.unit))
 
-    i_w = compose(cp_vw.proj, tensor(nu_v, idw))
+    i_w = compose(cp_vw.proj, tensor(nu_v, w))
 
     # (A x V) (x) W <-> A (x) V (x) W
-    inj_w, proj_w = tensor(cp_v.inj, idw), tensor(cp_v.proj, idw)
+    inj_w, proj_w = tensor(cp_v.inj, w), tensor(cp_v.proj, w)
     nab_small = compose(proj_w, qvw.nabla, inj_w)
     rep.add(check_equal(
         "nabla-axvw-idem", compose(nab_small, nab_small), nab_small
     ))
-    mul_w = tensor(cp_v.mul, idw)
+    mul_w = tensor(cp_v.mul, w)
     rep.add(check_equal(
         "nabla-axvw-linear",
         compose(nab_small, mul_w),
-        compose(mul_w, tensor(cp_v.id, nab_small)),
+        compose(mul_w, tensor(cp_v.obj, nab_small)),
     ))
     require(rep, "embedding verification failed")
 
@@ -151,7 +152,8 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
     omega = compose(cp_vw.proj, inj_w, inj)
     omega_inv = compose(proj_big, cp_vw.inj)
     rep.add(check_equal("omega-right-inv", compose(omega, omega_inv), cp_vw.id))
-    rep.add(check_equal("omega-left-inv", compose(omega_inv, omega), outer.id))
+    rep.add(check_equal("omega-left-inv", compose(omega_inv, omega),
+                        identity(outer_obj, s.field)))
     rep.add(check_equal(
         "omega-compat",
         compose(omega, proj),

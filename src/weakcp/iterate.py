@@ -23,11 +23,11 @@ from .wcp import Quadruple, check_quadruple, require
 class IterSetup:
     """Two quadruples over one monoid, with link and twisting morphisms.
 
-    ``qvw``, the combined quadruple on V (x) W, and the whiskers
-    ``mupsi_w`` = (mu (x) V (x) W) o (A (x) psi_V (x) W) and
-    ``musigma_w`` = (mu (x) V (x) W) o (A (x) sigma_V (x) W) are built on
-    first use and then kept; the ``psi``, ``sigma``, ``nabla`` and
-    ``product`` of ``qvw`` are the combined structure maps.
+    Whiskers name the objects ``qv.a``, ``qv.v`` and ``qw.v``.  ``qvw``,
+    the combined quadruple on V (x) W, ``mupsi_w`` = (mu (x) V (x) W) o
+    (A (x) psi_V (x) W) and ``musigma_w`` = (mu (x) V (x) W) o (A (x)
+    sigma_V (x) W) are built on first use and kept; the ``psi``,
+    ``sigma``, ``nabla`` and ``product`` of ``qvw`` are the combined maps.
     """
 
     qv: Quadruple
@@ -36,9 +36,7 @@ class IterSetup:
     tau: FMor  # W (x) V -> V (x) W
 
     def __post_init__(self):
-        if self.qv.monoid is not self.qw.monoid and not (
-            self.qv.monoid == self.qw.monoid
-        ):
+        if self.qv.monoid != self.qw.monoid:
             raise ValueError("the two quadruples must share the same monoid")
         v, w = self.qv.v, self.qw.v
         if (self.delta.dom.dim, self.delta.cod.dim) != ((v @ w).dim,) * 2:
@@ -50,17 +48,13 @@ class IterSetup:
     def field(self):
         return self.qv.field
 
-    def ids(self):
-        """(id_A, id_V, id_W), as their owners keep them."""
-        return self.qv.monoid.id, self.qv.idv, self.qw.idv
-
     @cached_property
     def mupsi_w(self) -> FMor:
-        return tensor(self.qv.mupsi, self.qw.idv)
+        return tensor(self.qv.mupsi, self.qw.v)
 
     @cached_property
     def musigma_w(self) -> FMor:
-        return tensor(self.qv.musigma, self.qw.idv)
+        return tensor(self.qv.musigma, self.qw.v)
 
     @cached_property
     def qvw(self) -> Quadruple:
@@ -69,15 +63,15 @@ class IterSetup:
         psi = (psi_V (x) W) o (V (x) psi_W) o (Delta (x) A), and sigma is
         built from sigma_V, sigma_W and the twisting.
         """
-        ida, idv, idw = self.ids()
         qv, qw = self.qv, self.qw
-        psi = compose(tensor(qv.psi, idw), tensor(idv, qw.psi), tensor(self.delta, ida))
+        a, v, w = qv.a, qv.v, qw.v
+        psi = compose(tensor(qv.psi, w), tensor(v, qw.psi), tensor(self.delta, a))
         sigma = compose(
             self.mupsi_w,
             tensor(qv.sigma, qw.sigma),
-            tensor(idv, self.tau, idw),
+            tensor(v, self.tau, w),
         )
-        vw, a = qv.v @ qw.v, qv.a
+        vw = v @ w
         return Quadruple(qv.monoid, vw, FMor(vw @ a, a @ vw, psi.mat),
                          FMor(vw @ vw, a @ vw, sigma.mat))
 
@@ -89,19 +83,18 @@ def check_link(s: IterSetup) -> Report:
     combined idempotent; as a consequence it is itself a weak measuring.
     All four statements are verified, not assumed.
     """
-    ida, idv, idw = s.ids()
     qvw = s.qvw
     psi_vw, nab = qvw.psi, qvw.nabla
     rep = Report()
     rep.add(check_equal(
         "falso-idemp",
         psi_vw,
-        compose(tensor(ida, s.delta), psi_vw),
+        compose(tensor(s.qv.a, s.delta), psi_vw),
     ))
     rep.add(check_equal(
         "falso-idemp2",
         psi_vw,
-        compose(nab, tensor(s.qv.psi, idw), tensor(idv, s.qw.psi)),
+        compose(nab, tensor(s.qv.psi, s.qw.v), tensor(s.qv.v, s.qw.psi)),
     ))
     rep.add(qvw.wmeas)
     rep.add(check_equal("falso-idemp-link", psi_vw, compose(nab, psi_vw)))
@@ -111,35 +104,35 @@ def check_link(s: IterSetup) -> Report:
 def twisting_sides(s: IterSetup) -> tuple:
     """The two sides of the second twisting condition, maps
     W (x) V (x) W (x) V -> A (x) V (x) W."""
-    ida, idv, idw = s.ids()
+    a, v, w = s.qv.a, s.qv.v, s.qw.v
     psi_v, psi_w = s.qv.psi, s.qw.psi
     sig_v, sig_w = s.qv.sigma, s.qw.sigma
     lhs = compose(
         s.musigma_w,
         tensor(psi_v, s.tau),
-        tensor(idv, sig_w, idv),
-        tensor(s.tau, idw, idv),
+        tensor(v, sig_w, v),
+        tensor(s.tau, w, v),
     )
     rhs = compose(
         s.mupsi_w,
-        tensor(s.qv.idav, sig_w),
-        tensor(ida, s.tau, idw),
-        tensor(psi_w, idv, idw),
-        tensor(idw, sig_v, idw),
-        tensor(idw, idv, s.tau),
+        tensor(a, v, sig_w),
+        tensor(a, s.tau, w),
+        tensor(psi_w, v, w),
+        tensor(w, sig_v, w),
+        tensor(w, v, s.tau),
     )
     return lhs, rhs
 
 
 def check_twisting(s: IterSetup) -> Report:
     """The two defining conditions for the twisting morphism tau."""
-    ida, idv, idw = s.ids()
+    a, v, w = s.qv.a, s.qv.v, s.qw.v
     psi_v, psi_w = s.qv.psi, s.qw.psi
     rep = Report()
     rep.add(check_equal(
         "twisting-i",
-        compose(tensor(psi_v, idw), tensor(idv, psi_w), tensor(s.tau, ida)),
-        compose(tensor(ida, s.tau), tensor(psi_w, idv), tensor(idw, psi_v)),
+        compose(tensor(psi_v, w), tensor(v, psi_w), tensor(s.tau, a)),
+        compose(tensor(a, s.tau), tensor(psi_w, v), tensor(w, psi_v)),
     ))
     rep.add(check_equal("twisting-ii", *twisting_sides(s)))
     return rep
@@ -147,12 +140,11 @@ def check_twisting(s: IterSetup) -> Report:
 
 def check_sigma_conditions(s: IterSetup) -> Report:
     """Compatibility of the combined sigma with the link morphism."""
-    sig, idvw = s.qvw.sigma, s.qvw.idv
-    ida = s.qv.monoid.id
+    sig, vw = s.qvw.sigma, s.qvw.v
     rep = Report()
-    rep.add(check_equal("sigma1", sig, compose(sig, tensor(s.delta, idvw))))
-    rep.add(check_equal("sigma2", sig, compose(sig, tensor(idvw, s.delta))))
-    rep.add(check_equal("sigma3", sig, compose(tensor(ida, s.delta), sig)))
+    rep.add(check_equal("sigma1", sig, compose(sig, tensor(s.delta, vw))))
+    rep.add(check_equal("sigma2", sig, compose(sig, tensor(vw, s.delta))))
+    rep.add(check_equal("sigma3", sig, compose(tensor(s.qv.a, s.delta), sig)))
     return rep
 
 
@@ -183,7 +175,7 @@ def build_iterated(s: IterSetup):
 
 def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
     """The two extra equations needed to combine the two preunits."""
-    ida, idv, idw = s.ids()
+    a, v, w = s.qv.a, s.qv.v, s.qw.v
     target = s.qvw.nabla_eta
     rep = Report()
     rep.add(check_equal(
@@ -191,7 +183,7 @@ def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> R
         compose(
             s.musigma_w,
             tensor(s.qv.psi, s.tau),
-            tensor(idv, s.qw.psi, idv),
+            tensor(v, s.qw.psi, v),
             tensor(s.delta, nu_v),
         ),
         target,
@@ -200,9 +192,9 @@ def check_iterated_preunit_hypotheses(s: IterSetup, nu_v: FMor, nu_w: FMor) -> R
         "pre-2",
         compose(
             s.mupsi_w,
-            tensor(s.qv.idav, s.qw.sigma),
-            tensor(ida, s.tau, idw),
-            tensor(nu_w, idv, idw),
+            tensor(a, v, s.qw.sigma),
+            tensor(a, s.tau, w),
+            tensor(nu_w, v, w),
         ),
         target,
     ))

@@ -357,12 +357,15 @@ def decode_workspace(obj) -> Workspace:
     for name, entry, ptr in _named_section(obj, "setups", ""):
         ws.setups[name] = decode_setup(entry, ws.quadruples, field, ptr)
         refs = []
-        for key in ("nu_first", "nu_second"):
+        for key, qkey in (("nu_first", "first"), ("nu_second", "second")):
             pname = _opt(entry, key, str, "a preunit name", ptr)
-            if pname is not None and pname not in ws.preunits:
+            owner = ws.preunits.get(pname, (None,))[0]
+            if pname is not None and owner != entry[qkey]:
                 raise WorkspaceError(
-                    f"unknown preunit {pname!r}", f"{ptr}/{key}"
-                )
+                    f"unknown preunit {pname!r}" if owner is None else
+                    f"preunit {pname!r} belongs to quadruple {owner!r}, "
+                    f"not to the {qkey} quadruple {entry[qkey]!r}",
+                    f"{ptr}/{key}")
             refs.append(pname)
         ws.setup_preunits[name] = tuple(refs)
     for name, entry, ptr in _named_section(obj, "wreaths", ""):

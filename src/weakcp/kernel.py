@@ -7,14 +7,15 @@ returns a new matrix, so values may be shared freely between threads.
 
 Every matrix stores each row as a tuple of its nonzero ``(column, value)``
 pairs, columns ascending, zeros never stored (the compressed-row layout).
-The matrices the engine multiplies (identities, flips, ``f (x) id``
-blocks) are a few percent nonzero, so :func:`mat_compose` is Gustavson's
-row-by-row product and :func:`mat_tensor` pairs the rows of its operands;
-neither allocates a dense buffer.  Equality compares rows, and indexing
-reads one stored row.  One sparse routine computes the reduced row
-echelon form, on rows held as dicts of their nonzeros: rank,
-right-solving, null spaces and the splitting of idempotents all read
-their results from it.
+The matrices the engine multiplies (flips, whiskers ``id (x) f (x) id``)
+are a few percent nonzero, so :func:`mat_compose` is Gustavson's
+row-by-row product, :func:`mat_tensor` pairs the rows of its two
+operands and :func:`mat_whisker` re-indexes the rows of its one; none
+allocates a dense buffer, and no identity matrix is formed to whisker.
+Equality compares rows, and indexing reads one stored row.  One sparse
+routine computes the reduced row echelon form, on rows held as dicts of
+their nonzeros: rank, right-solving, null spaces and the splitting of
+idempotents all read their results from it.
 
 A matrix has one constructor, ``Mat(rows, cols, nonzeros, field)``,
 which takes its rows of nonzeros.  The dense row-major format belongs to
@@ -165,33 +166,16 @@ def mat_compose(g: Mat, f: Mat) -> Mat:
 
 
 def mat_tensor(f: Mat, g: Mat) -> Mat:
-    """Kronecker product f (x) g: row (i1, i2) pairs row i1 of f with row
-    i2 of g.
+    """Kronecker product f (x) g of two morphisms: row (i1, i2) pairs row
+    i1 of f with row i2 of g.
 
     A factor 1 costs no multiplication; a product of two nonzeros of a
-    field is never zero, so nothing is filtered.  When every row of one
-    factor is a single 1 (an identity, a flip), each output row is a row
-    of the other factor re-indexed, with no test per entry, and the rows
-    that land at column offset 0 are shared as they are.
+    field is never zero, so nothing is filtered.  A product with an
+    identity is a whisker, built by :func:`mat_whisker`.
     """
     field = same_field(f.field, g.field)
     mul, one = field.mul, field.one()
     gc = g.cols
-    shape = (f.rows * g.rows, f.cols * gc)
-    if all(len(row) == 1 and row[0][1] == one for row in f.nonzeros):
-        out = []
-        for ((j1, _),) in f.nonzeros:
-            base = j1 * gc
-            if base:
-                out.extend(tuple([(base + j2, b) for j2, b in grow])
-                           for grow in g.nonzeros)
-            else:
-                out.extend(g.nonzeros)
-        return Mat(*shape, tuple(out), field)
-    if all(len(row) == 1 and row[0][1] == one for row in g.nonzeros):
-        return Mat(*shape, tuple(
-            tuple([(j1 * gc + j2, a) for j1, a in frow])
-            for frow in f.nonzeros for ((j2, _),) in g.nonzeros), field)
     fnz = [[(j1 * gc, a, a == one) for j1, a in frow] for frow in f.nonzeros]
     gnz = [[(j2, b, b == one) for j2, b in grow] for grow in g.nonzeros]
     out = []
@@ -199,7 +183,30 @@ def mat_tensor(f: Mat, g: Mat) -> Mat:
         for grow in gnz:
             out.append(tuple([(base + j2, b if ua else a if ub else mul(a, b))
                               for base, a, ua in frow for j2, b, ub in grow]))
-    return Mat(*shape, tuple(out), field)
+    return Mat(f.rows * g.rows, f.cols * gc, tuple(out), field)
+
+
+def mat_whisker(m: int, f: Mat, n: int) -> Mat:
+    """The whisker id_m (x) f (x) id_n, without forming an identity.
+
+    Row (i, t, k) of the result is row t of f with each column j moved to
+    (i, j, k): the entries are f's, re-indexed, with no arithmetic.  Rows
+    that land at column offset 0 are shared as they are.
+    """
+    fnz, step = f.nonzeros, f.cols * n
+    if n != 1:
+        fnz = [tuple([(j * n, x) for j, x in row]) for row in fnz]
+    out = []
+    for i in range(m):
+        base = i * step
+        if n == 1:
+            out.extend(tuple([(base + j, x) for j, x in row]) if base else row
+                       for row in fnz)
+            continue
+        for row in fnz:
+            out.extend(tuple([(k + j, x) for j, x in row]) if k else row
+                       for k in range(base, base + n))
+    return Mat(m * f.rows * n, m * step, tuple(out), f.field)
 
 
 def mat_eq(f: Mat, g: Mat) -> bool:

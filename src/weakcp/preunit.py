@@ -21,21 +21,20 @@ from .fdvect import (
     check_equal,
     check_equal_all,
     compose,
-    identity,
     tensor,
 )
 from .report import Report, ReportItem
 from .wcp import CrossedProduct, PreconditionError, Quadruple, require
 
 
-def check_preunit_axioms(m: FMor, nu: FMor, id_av: FMor, nab: FMor) -> ReportItem:
-    """nu is a preunit for m: right absorption ``nab`` = m o (id_av (x) nu)
-    equals left absorption and absorption of nu*nu.  ``id_av`` is the
-    identity of m's codomain."""
+def check_preunit_axioms(m: FMor, nu: FMor, nab: FMor) -> ReportItem:
+    """nu is a preunit for m: right absorption ``nab`` = m o (X (x) nu),
+    where X is m's codomain, equals left absorption and absorption of
+    nu*nu."""
     return check_equal_all(
         "preunit",
-        (nab, compose(m, tensor(nu, id_av)), "right vs left"),
-        (nab, compose(m, tensor(id_av, compose(m, tensor(nu, nu)))),
+        (nab, compose(m, tensor(nu, m.cod)), "right vs left"),
+        (nab, compose(m, tensor(m.cod, compose(m, tensor(nu, nu)))),
          "vs squared preunit"),
     )
 
@@ -56,32 +55,32 @@ class Preunit:
 
     @cached_property
     def nabla(self) -> FMor:
-        return compose(self.quad.product, tensor(self.quad.idav, self.nu))
+        return compose(self.quad.product, tensor(self.quad.a, self.quad.v, self.nu))
 
     @cached_property
     def beta(self) -> FMor:
-        return compose(self.quad.muv, tensor(self.quad.monoid.id, self.nu))
+        return compose(self.quad.muv, tensor(self.quad.a, self.nu))
 
     @cached_property
     def axioms(self) -> ReportItem:
         q = self.quad
-        return check_preunit_axioms(q.product, self.nu, q.idav, self.nabla)
+        return check_preunit_axioms(q.product, self.nu, self.nabla)
 
     @cached_property
     def system(self) -> tuple:
         """The three compatibility equations tying nu to (psi, sigma),
         and ``quad.nabla`` o nu = nu."""
         q, nu = self.quad, self.nu
-        idv, nab, target = q.idv, q.nabla, q.nabla_eta
+        v, nab, target = q.v, q.nabla, q.nabla_eta
         return (
             check_equal(
                 "pre1-wcp",
-                compose(q.musigma, tensor(q.psi, idv), tensor(idv, nu)),
+                compose(q.musigma, tensor(q.psi, v), tensor(v, nu)),
                 target,
             ),
-            check_equal("pre2-wcp", compose(q.musigma, tensor(nu, idv)), target),
+            check_equal("pre2-wcp", compose(q.musigma, tensor(nu, v)), target),
             check_equal(
-                "pre3-wcp", compose(q.mupsi, tensor(nu, q.monoid.id)), self.beta
+                "pre3-wcp", compose(q.mupsi, tensor(nu, q.a)), self.beta
             ),
             check_equal("preunit-idemp", compose(nab, nu), nu),
         )
@@ -119,12 +118,11 @@ def build_unital(cp: CrossedProduct, pre: Preunit) -> UnitalCrossedProduct:
 
     rep = Report()
     rep.add(check_equal("nu-nabla", pre.nabla, q.nabla))
-    idx = cp.id
     rep.add(check_equal(
-        "product-unit-left", compose(cp.mul, tensor(unit, idx)), idx
+        "product-unit-left", compose(cp.mul, tensor(unit, cp.obj)), cp.id
     ))
     rep.add(check_equal(
-        "product-unit-right", compose(cp.mul, tensor(idx, unit)), idx
+        "product-unit-right", compose(cp.mul, tensor(cp.obj, unit)), cp.id
     ))
 
     beta = pre.beta
@@ -136,7 +134,7 @@ def build_unital(cp: CrossedProduct, pre: Preunit) -> UnitalCrossedProduct:
     rep.add(check_equal(
         "beta-linear",
         beta_mu,
-        compose(q.muv, tensor(q.monoid.id, beta)),
+        compose(q.muv, tensor(q.a, beta)),
     ))
     beta_bar = compose(cp.proj, beta)
     rep.add(check_equal(
@@ -157,34 +155,31 @@ def derive_psi_sigma(a: MonoidData, v: FObj, m: FMor, nu: FMor):
     returns a quadruple whose canonical crossed-product multiplication
     reproduces m, together with the report of all hypothesis checks.
     """
-    field = a.field
     av = m.cod
-    id_av = identity(av, field)
-    ida, idv = a.id, identity(v, field)
-    muv = tensor(a.mul, idv)
+    muv = tensor(a.mul, v)
 
     hyp = Report()
     hyp.add(check_equal(
         "product-assoc",
-        compose(m, tensor(m, id_av)),
-        compose(m, tensor(id_av, m)),
+        compose(m, tensor(m, av)),
+        compose(m, tensor(av, m)),
     ))
     hyp.add(check_equal(
         "product-linear",
-        compose(m, tensor(muv, id_av)),
-        compose(muv, tensor(ida, m)),
+        compose(m, tensor(muv, av)),
+        compose(muv, tensor(a.obj, m)),
     ))
-    nab = compose(m, tensor(id_av, nu))
-    hyp.add(check_preunit_axioms(m, nu, id_av, nab))
+    nab = compose(m, tensor(av, nu))
+    hyp.add(check_preunit_axioms(m, nu, nab))
     hyp.add(check_equal("product-normal-left", compose(nab, m), m))
     hyp.add(check_equal(
         "product-normal-right", compose(m, tensor(nab, nab)), m
     ))
     require(hyp, "product fails recovery hypotheses")
 
-    beta = compose(muv, tensor(ida, nu))
-    psi = compose(m, tensor(a.unit, idv, beta))
-    sigma = compose(m, tensor(a.unit, idv, a.unit, idv))
+    beta = compose(muv, tensor(a.obj, nu))
+    psi = compose(m, tensor(a.unit, v, beta))
+    sigma = compose(m, tensor(a.unit, v, a.unit, v))
     psi = FMor(v @ a.obj, a.obj @ v, psi.mat)
     sigma = FMor(v @ v, a.obj @ v, sigma.mat)
     q = Quadruple(a, v, psi, sigma)

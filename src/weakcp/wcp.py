@@ -53,10 +53,10 @@ class Quadruple:
     ``psi`` must be a map V (x) A -> A (x) V and ``sigma`` a map
     V (x) V -> A (x) V; shapes are validated on construction.
 
-    The identities ``idv`` of V and ``idav`` of A (x) V, the whisker
-    ``muv`` = mu (x) V, its composites ``mupsi`` = muv o (A (x) psi) and
-    ``musigma`` = muv o (A (x) sigma), the canonical idempotent
-    ``nabla`` and ``nabla_eta`` = nabla o (eta (x) V), the product
+    Whiskers name the objects ``a`` and ``v``, which stand for their
+    identities.  ``muv`` = mu (x) V, ``mupsi`` = muv o (A (x) psi),
+    ``musigma`` = muv o (A (x) sigma), the canonical idempotent ``nabla``
+    and ``nabla_eta`` = nabla o (eta (x) V), the product
     ``product`` on A (x) V and the four defining conditions ``wmeas``,
     ``twisted``, ``cocycle`` and ``normalized`` are computed on first use
     and then kept, so every construction over one quadruple shares them.
@@ -89,27 +89,19 @@ class Quadruple:
         return self.monoid.obj
 
     @cached_property
-    def idv(self) -> FMor:
-        return identity(self.v, self.field)
-
-    @cached_property
-    def idav(self) -> FMor:
-        return identity(self.a @ self.v, self.field)
-
-    @cached_property
     def muv(self) -> FMor:
         """mu (x) V : A (x) A (x) V -> A (x) V."""
-        return tensor(self.monoid.mul, self.idv)
+        return tensor(self.monoid.mul, self.v)
 
     @cached_property
     def mupsi(self) -> FMor:
         """(mu (x) V) o (A (x) psi) : A (x) V (x) A -> A (x) V."""
-        return compose(self.muv, tensor(self.monoid.id, self.psi))
+        return compose(self.muv, tensor(self.a, self.psi))
 
     @cached_property
     def musigma(self) -> FMor:
         """(mu (x) V) o (A (x) sigma) : A (x) V (x) V -> A (x) V."""
-        return compose(self.muv, tensor(self.monoid.id, self.sigma))
+        return compose(self.muv, tensor(self.a, self.sigma))
 
     @cached_property
     def nabla(self) -> FMor:
@@ -117,12 +109,12 @@ class Quadruple:
 
         nabla = (mu (x) V) o (A (x) psi) o (A (x) V (x) eta).
         """
-        return compose(self.mupsi, tensor(self.idav, self.monoid.unit))
+        return compose(self.mupsi, tensor(self.a, self.v, self.monoid.unit))
 
     @cached_property
     def nabla_eta(self) -> FMor:
         """nabla o (eta (x) V) : V -> A (x) V."""
-        return compose(self.nabla, tensor(self.monoid.unit, self.idv))
+        return compose(self.nabla, tensor(self.monoid.unit, self.v))
 
     @cached_property
     def product(self) -> FMor:
@@ -133,37 +125,36 @@ class Quadruple:
         return compose(
             self.muv,
             tensor(self.monoid.mul, self.sigma),
-            tensor(self.monoid.id, self.psi, self.idv),
+            tensor(self.a, self.psi, self.v),
         )
 
     @cached_property
     def wmeas(self) -> ReportItem:
         """Weak measuring: (mu(x)V) o (A(x)psi) o (psi(x)A) = psi o (V(x)mu)."""
-        ida = self.monoid.id
         return check_equal(
             "wmeas-wcp",
-            compose(self.mupsi, tensor(self.psi, ida)),
-            compose(self.psi, tensor(self.idv, self.monoid.mul)),
+            compose(self.mupsi, tensor(self.psi, self.a)),
+            compose(self.psi, tensor(self.v, self.monoid.mul)),
         )
 
     @cached_property
     def twisted(self) -> ReportItem:
         """Twisted condition relating psi and sigma."""
-        ida, idv = self.monoid.id, self.idv
+        v = self.v
         return check_equal(
             "twis-wcp",
-            compose(self.mupsi, tensor(self.sigma, ida)),
-            compose(self.musigma, tensor(self.psi, idv), tensor(idv, self.psi)),
+            compose(self.mupsi, tensor(self.sigma, self.a)),
+            compose(self.musigma, tensor(self.psi, v), tensor(v, self.psi)),
         )
 
     @cached_property
     def cocycle(self) -> ReportItem:
         """2-cocycle condition for sigma."""
-        idv = self.idv
+        v = self.v
         return check_equal(
             "cocy2-wcp",
-            compose(self.musigma, tensor(self.sigma, idv)),
-            compose(self.musigma, tensor(self.psi, idv), tensor(idv, self.sigma)),
+            compose(self.musigma, tensor(self.sigma, v)),
+            compose(self.musigma, tensor(self.psi, v), tensor(v, self.sigma)),
         )
 
     @cached_property
@@ -190,7 +181,7 @@ def check_quadruple(q: Quadruple) -> Report:
     rep.add(check_equal(
         "nabla-left-linear",
         compose(nab, q.muv),
-        compose(q.muv, tensor(q.monoid.id, nab)),
+        compose(q.muv, tensor(q.a, nab)),
     ))
     return rep
 
@@ -203,28 +194,28 @@ def check_derived_identities(q: Quadruple) -> Report:
     sigma normalized.  Identities whose hypotheses fail on the given data
     are reported as not applicable instead of being asserted.
     """
-    ida, idv = q.monoid.id, q.idv
+    a, v = q.a, q.v
     nab = q.nabla
     rep = Report()
 
     base = q.mupsi
     rep.add(check_equal_all(
         "fi-nab",
-        (compose(base, tensor(nab, ida)), base, ""),
+        (compose(base, tensor(nab, a)), base, ""),
         (base, compose(nab, base), ""),
     ))
 
     twisted = q.twisted.passed
-    sig_part = compose(q.musigma, tensor(q.psi, idv))
+    sig_part = compose(q.musigma, tensor(q.psi, v))
     if twisted:
         rep.add(check_equal(
             "c1",
-            compose(sig_part, tensor(idv, nab)),
+            compose(sig_part, tensor(v, nab)),
             compose(nab, sig_part),
         ))
         rep.add(check_equal(
             "aw",
-            compose(nab, q.musigma, tensor(nab, idv)),
+            compose(nab, q.musigma, tensor(nab, v)),
             compose(nab, q.musigma),
         ))
     else:
@@ -235,12 +226,12 @@ def check_derived_identities(q: Quadruple) -> Report:
     if twisted and q.normalized.passed:
         rep.add(check_equal(
             "c11",
-            compose(sig_part, tensor(idv, nab)),
+            compose(sig_part, tensor(v, nab)),
             sig_part,
         ))
         rep.add(check_equal(
             "aw1",
-            compose(q.musigma, tensor(nab, idv)),
+            compose(q.musigma, tensor(nab, v)),
             q.musigma,
         ))
     else:
@@ -294,28 +285,26 @@ def build_crossed_product(q: Quadruple) -> CrossedProduct:
     nab, mu_big = q.nabla, q.product
     mul = compose(proj, mu_big, tensor(inj, inj))
 
-    id_av = q.idav
     rep.add(check_equal(
         "assoc-big",
-        compose(mu_big, tensor(mu_big, id_av)),
-        compose(mu_big, tensor(id_av, mu_big)),
+        compose(mu_big, tensor(mu_big, av)),
+        compose(mu_big, tensor(av, mu_big)),
     ))
     rep.add(check_equal("normal-left", compose(nab, mu_big), mu_big))
     rep.add(check_equal(
         "normal-right", compose(mu_big, tensor(nab, nab)), mu_big
     ))
     rep.add(check_equal(
-        "otra-prop", compose(mu_big, tensor(nab, id_av)), mu_big
+        "otra-prop", compose(mu_big, tensor(nab, av)), mu_big
     ))
     rep.add(check_equal(
-        "vieja-proof", compose(mu_big, tensor(id_av, nab)), mu_big
+        "vieja-proof", compose(mu_big, tensor(av, nab)), mu_big
     ))
-    idx = identity(obj, q.field)
     rep.add(check_equal(
         "assoc",
-        compose(mul, tensor(mul, idx)),
-        compose(mul, tensor(idx, mul)),
+        compose(mul, tensor(mul, obj)),
+        compose(mul, tensor(obj, mul)),
     ))
     require(rep, "construction postconditions failed")
     return CrossedProduct(quad=q, obj=obj, inj=inj, proj=proj, mul=mul,
-                          id=idx, report=rep)
+                          id=identity(obj, q.field), report=rep)

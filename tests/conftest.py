@@ -92,7 +92,7 @@ def trivial_quadruple(a: MonoidData, vname: str = "K") -> Quadruple:
     the unit of A, so the crossed product of A with this V is A itself.
     """
     v = vobj(vname, 1)
-    psi = FMor(v @ a.obj, a.obj @ v, a.id.mat)
+    psi = FMor(v @ a.obj, a.obj @ v, identity(a.obj, a.field).mat)
     sigma = FMor(v @ v, a.obj @ v, a.unit.mat)
     return Quadruple(a, v, psi, sigma)
 
@@ -108,7 +108,7 @@ def trivial_extension(q: Quadruple, vname: str = "K") -> IterSetup:
     field = q.field
     vk = q.v @ qt.v
     delta = identity(vk, field)
-    tau = FMor(qt.v @ q.v, vk, q.idv.mat)
+    tau = FMor(qt.v @ q.v, vk, identity(q.v, field).mat)
     return IterSetup(q, qt, delta, tau)
 
 

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from weakcp import cli, fdvect, fixtures, iso, iterate, preunit, wcp
-from weakcp.fdvect import check_monoid, compose, identity
+from weakcp.fdvect import FObj, check_monoid, compose, identity
 from weakcp.fields import GF, QQ
 from weakcp.fixtures import (
     LawTriple,
@@ -22,7 +22,7 @@ from weakcp.fixtures import (
 )
 from weakcp.fdvect import tensor
 from weakcp.iso import build_iso, check_newit
-from weakcp.kernel import identity_mat, mat_eq, rank
+from weakcp.kernel import mat_eq, rank
 from weakcp.mine import mined_law
 
 
@@ -83,16 +83,9 @@ def test_iso_verifies_each_identity_once(monkeypatch):
 
 
 def test_iso_builds_mu_v_once_per_quadruple(monkeypatch):
-    """One iso job on flip_triple.json forms mu (x) id for at most one
-    identity per quadruple: its own id_V, for A x V, A x W and
-    A x (V (x) W)."""
+    """One iso job on flip_triple.json forms the whisker mu (x) V once per
+    quadruple, with its own V: for A x V, A x W and A x (V (x) W)."""
     calls = []
-    original = fdvect.mat_tensor
-
-    def spy(f, g):
-        calls.append((f, g))
-        return original(f, g)
-
     loaded = []
     load = cli.load_workspace
 
@@ -100,30 +93,30 @@ def test_iso_builds_mu_v_once_per_quadruple(monkeypatch):
         loaded.append(load(*args, **kwargs))
         return loaded[-1]
 
-    monkeypatch.setattr(fdvect, "mat_tensor", spy)
+    _spy(monkeypatch, "tensor", calls)
     monkeypatch.setattr(cli, "load_workspace", keep)
     path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                         "flip_triple.json")
     assert cli.main(["iso", path]) == 0
     (s,) = loaded[0].setups.values()
-    mu = s.qv.monoid.mul.mat
+    mu = s.qv.monoid.mul
     whiskers = collections.Counter(
-        id(g) for f, g in calls
-        if f is mu and mat_eq(g, identity_mat(g.rows, g.field)))
-    quadruples = (s.qv, s.qw, s.qvw)
-    assert sum(whiskers.values()) <= len(quadruples)
-    for q in quadruples:
-        assert whiskers[id(q.idv.mat)] <= 1
+        fs[1] for fs in calls
+        if len(fs) == 2 and fs[0] is mu and isinstance(fs[1], FObj))
+    assert whiskers == {q.v: 1 for q in (s.qv, s.qw, s.qvw)}, whiskers
 
 
-def _spy(monkeypatch, name, calls):
+def _spy(monkeypatch, name, calls, results=None):
     """Record the arguments of every call to the engine function ``name``,
-    through every module that binds it."""
+    through every module that binds it, and its results in ``results``."""
     original = getattr(fdvect, name, None) or getattr(preunit, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return original(*args, **kwargs)
+        out = original(*args, **kwargs)
+        if results is not None:
+            results.append(out)
+        return out
 
     for module in (fdvect, wcp, preunit, iterate, iso, fixtures):
         if getattr(module, name, None) is original:
@@ -163,54 +156,38 @@ def test_iso_verifies_each_preunit_once(monkeypatch):
     # nabla_nu = product o (A (x) V (x) nu) and beta = muv o (A (x) nu)
     # are each formed once per pair
     for q, nu in pairs:
-        for left in (q.idav, q.monoid.id):
-            assert sum(len(fs) == 2 and fs[0] is left and fs[1] is nu
-                       for fs in tensors) == 1, (q.v, left.dom)
+        for left in ((q.a, q.v), (q.a,)):
+            assert sum(fs[-1] is nu and fs[:-1] == left
+                       for fs in tensors) == 1, (q.v, left)
 
 
-def test_iso_builds_each_identity_once(monkeypatch):
+def test_iso_builds_identities_only_to_compare(monkeypatch):
+    """One iso job calls identity() only for values that checks compare
+    with: the identity of each of the three images, and that of
+    (A x V) x W for omega-left-inv and for the unit laws of its monoid.
+    Every whisker is typed, so no kernel product receives a matrix that
+    identity() built, and mu (x) V (x) W is formed once."""
     t, s = _asymmetric_triple()
     nu_v, nu_w = t.preunits
-    vw = s.qv.v @ s.qw.v
-    muvw = fdvect.tensor(t.a.mul, identity(vw, QQ)).mat
-    ids, tensors = [], []
-    _spy(monkeypatch, "identity", ids)
-    original = fdvect.mat_tensor
+    muvw = fdvect.tensor(t.a.mul, s.qv.v @ s.qw.v).mat
+    objs, ids, operands, products = [], [], [], []
+    _spy(monkeypatch, "identity", objs, ids)
+    for name, picks in (("mat_tensor", slice(0, 2)),
+                        ("mat_whisker", slice(1, 2))):
+        original = getattr(fdvect, name)
 
-    def spy(f, g):
-        tensors.append(original(f, g))
-        return tensors[-1]
+        def spy(*args, original=original, picks=picks):
+            operands.extend(args[picks])
+            products.append(original(*args))
+            return products[-1]
 
-    monkeypatch.setattr(fdvect, "mat_tensor", spy)
-    build_iso(s, nu_v, nu_w)
-    built = collections.Counter(obj.factors for obj, _ in ids)
-    assert built and max(built.values()) == 1, built
-    # V, W, V (x) W, the three A (x) ..., the three images and (A x V) x W;
-    # id_A is kept by the monoid, and triple_setup has already built it
-    assert len(built) == 10, sorted(built)
-    assert sum(mat_eq(m, muvw) for m in tensors
-               if (m.rows, m.cols) == (muvw.rows, muvw.cols)) == 1
-
-
-def test_iso_tensors_no_owned_identity_with_id_a(monkeypatch):
-    # id_A (x) id_V is the identity of A (x) V, which each quadruple's
-    # idav owns, so no tensor pairs id_A with an owned id_V
-    t, s = _asymmetric_triple()
-    nu_v, nu_w = t.preunits
-    pairs = []
-    original = fdvect.mat_tensor
-
-    def spy(f, g):
-        pairs.append((f, g))
-        return original(f, g)
-
-    monkeypatch.setattr(fdvect, "mat_tensor", spy)
-    build_iso(s, nu_v, nu_w)
-    ida = s.qv.monoid.id.mat
-    idvs = [q.idv.mat for q in (s.qv, s.qw, s.qvw)]
-    assert not [(f, g) for f, g in pairs
-                if (f is ida and any(g is m for m in idvs))
-                or (g is ida and any(f is m for m in idvs))]
+        monkeypatch.setattr(fdvect, name, spy)
+    b = build_iso(s, nu_v, nu_w)
+    images = [u.cp.obj for u in (b.ucp_v, b.ucp_w, b.ucp_vw)]
+    assert sorted(repr(obj) for obj, _ in objs) == sorted(
+        map(repr, images + [b.outer.obj] * 2))
+    assert not [m for m in operands if any(m is i.mat for i in ids)]
+    assert sum(mat_eq(m, muvw) for m in products) == 1
 
 
 def test_check_wdl_builds_each_whisker_once(monkeypatch):
@@ -235,8 +212,8 @@ def test_check_wdl_builds_each_whisker_once(monkeypatch):
     assert cli.main(["check-wdl", path]) == 0
     (a,) = loaded[0].monoids.values()
     whiskers = collections.Counter(
-        fs for fs in calls if fs in ((a.mul, a.id), (a.id, a.mul)))
-    assert whiskers == {(a.mul, a.id): 1, (a.id, a.mul): 1}, whiskers
+        fs for fs in calls if fs in ((a.mul, a.obj), (a.obj, a.mul)))
+    assert whiskers == {(a.mul, a.obj): 1, (a.obj, a.mul): 1}, whiskers
 
 
 def test_omega_mutual_inverses(double):

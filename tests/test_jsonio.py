@@ -7,7 +7,15 @@ import pytest
 
 from conftest import from_rows
 from weakcp.fields import GF, QQ
-from weakcp.fixtures import flip_fixture, skew_group_quadruple
+from weakcp.cli import main
+from weakcp.fixtures import (
+    LawTriple,
+    flip_fixture,
+    q_twist,
+    skew_group_quadruple,
+    triple_setup,
+    truncated_polynomial_algebra,
+)
 from weakcp.jsonio import (
     WorkspaceError,
     decode_mat,
@@ -124,6 +132,47 @@ def test_unknown_preunit_reference():
     with pytest.raises(WorkspaceError) as exc:
         decode_workspace(obj)
     assert exc.value.pointer == "/setups/0/nu_first"
+
+
+def asymmetric_workspace():
+    """The Q triple of the benchmark's scale workload, dims 2, 2 and 3,
+    so that V has dimension 2 and W dimension 3."""
+    a, b, c = (truncated_polynomial_algebra(n, d, QQ)
+               for n, d in zip("ABC", (2, 2, 3)))
+    t = LawTriple(a, b, c, l1=q_twist(b, a, 2), l2=q_twist(c, b, 2),
+                  l3=q_twist(c, a, 2), weak=False)
+    s = triple_setup(t)
+    nu_v, nu_w = t.preunits
+    return {
+        "field": QQ.descriptor(),
+        "monoids": [encode_monoid(a)],
+        "quadruples": [dict(name="V", **encode_quadruple(s.qv)),
+                       dict(name="W", **encode_quadruple(s.qw))],
+        "preunits": [dict(name="nu_v", **encode_preunit("V", nu_v)),
+                     dict(name="nu_w", **encode_preunit("W", nu_w))],
+        "setups": [dict(name="vw", **encode_setup(
+            "V", "W", s, nu_v="nu_v", nu_w="nu_w"))],
+    }
+
+
+@pytest.mark.parametrize("key, other", [("nu_first", "nu_w"),
+                                        ("nu_second", "nu_v")])
+@pytest.mark.parametrize("build", [full_workspace, asymmetric_workspace])
+def test_setup_preunit_of_another_quadruple(build, key, other, tmp_path,
+                                            capsys):
+    # with W of another dimension than V, iso and iterated-preunit used to
+    # end in a ShapeError traceback; with equal dimensions the file loaded
+    obj = build()
+    obj["setups"][0][key] = other
+    with pytest.raises(WorkspaceError) as exc:
+        decode_workspace(obj)
+    assert exc.value.pointer == f"/setups/0/{key}"
+    assert "'V'" in str(exc.value) and "'W'" in str(exc.value)
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(obj))
+    for cmd in ("iso", "iterated-preunit"):
+        assert main([cmd, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: /setups/0/{key}: ")
 
 
 def test_missing_field_key():

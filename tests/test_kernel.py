@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIELDS, dense_mat, from_rows, random_idempotent, random_mat
-from weakcp.fdvect import FMor, FObj, check_equal
+from weakcp.fdvect import FMor, FObj, check_equal, identity, tensor, vobj
 from weakcp.fields import GF, QQ, FieldMismatchError
 from weakcp.kernel import (
     BACKEND,
@@ -21,6 +21,7 @@ from weakcp.kernel import (
     mat_compose,
     mat_eq,
     mat_tensor,
+    mat_whisker,
     nullspace,
     rank,
     solve_right,
@@ -602,3 +603,29 @@ def _check_storage(m, field, rng):
                 basis_index=(c,), coordinate=(r,),
                 lhs=field.fmt(m.entries[r * m.cols + c]),
                 rhs=field.fmt(other.entries[r * m.cols + c]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_whisker_is_the_kronecker_product_with_identities(data):
+    """mat_whisker(m, f, n) has exactly the rows of id_m (x) f (x) id_n,
+    dimension 0 (the zero image) included; and ``tensor`` with objects
+    has the factor lists of ``tensor`` with their identities, which
+    witnesses print index by index."""
+    field = data.draw(st.sampled_from((GF(2), GF(5), QQ)), label="field")
+    m, n, rows, cols = (data.draw(st.integers(0, 3), label=x)
+                        for x in ("m", "n", "rows", "cols"))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    f = _sparse_operand(data, rng, rows, cols, field)
+    assert mat_whisker(m, f, n) == mat_tensor(
+        mat_tensor(identity_mat(m, field), f), identity_mat(n, field))
+    x, y = vobj("X", m), vobj("Y", n)
+    ff = FMor(vobj("F", cols), vobj("G", rows), f)
+    g = FMor(y @ x, x, _sparse_operand(data, rng, m, n * m, field))
+    typed = tensor(x, y, ff, y, g, x)
+    explicit = tensor(identity(x @ y, field), ff, identity(y, field), g,
+                      identity(x, field))
+    assert (typed.dom.factors, typed.cod.factors, typed.mat) == (
+        explicit.dom.factors, explicit.cod.factors, explicit.mat)
+    with pytest.raises(ValueError):
+        tensor(x, y)

@@ -248,8 +248,8 @@ def test_whiskers_built_once_per_search(monkeypatch):
     monkeypatch.setattr(fixtures, "tensor", spy)
     a, b = pair(2, 2, 2)
     assert mine_wdl(a, b).total == mine.REFERENCE_TOTAL
-    for key in [(b.unit, a.id), (b.id, a.unit), (b.id, a.mul),
-                (b.mul, a.id), (a.mul, b.id), (a.id, b.mul)]:
+    for key in [(b.unit, a.obj), (b.obj, a.unit), (b.obj, a.mul),
+                (b.mul, a.obj), (a.mul, b.obj), (a.obj, b.mul)]:
         assert built[key] == 1, key
     s, lam = mine.mined_law()
     monoids = MonoidPair(s, s)

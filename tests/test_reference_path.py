@@ -1,9 +1,9 @@
 """Every subcommand, end to end, against a dense reference kernel.
 
-Each job runs twice: once with the engine's row-sparse ``mat_compose``
-and ``mat_tensor``, and once with the dense triple loops below, built
-with the dense helper of ``conftest`` and patched in at every module of
-the engine that binds the kernel's functions.  Exit code, stdout and
+Each job runs twice: once with the engine's row-sparse ``mat_compose``,
+``mat_tensor`` and ``mat_whisker``, and once with the dense loops below,
+built with the dense helper of ``conftest`` and patched in at every
+module of the engine that binds the kernel's functions.  Exit code, stdout and
 stderr must agree.  The jobs are every subcommand of ``cli._HANDLERS``,
 in text and with ``--json``, on every committed fixture and on
 ``tests/data/q_half*.json``.  Tier-1 runs a fixed sample, the subcommands
@@ -60,14 +60,27 @@ def dense_tensor(f, g):
         for j1 in range(f.cols) for j2 in range(g.cols)), field)
 
 
+def dense_whisker(m, f, n):
+    """id_m (x) f (x) id_n: the dense Kronecker product with dense
+    identities on both sides."""
+    return dense_tensor(dense_tensor(_dense_identity(m, f.field), f),
+                        _dense_identity(n, f.field))
+
+
+def _dense_identity(n, field):
+    return dense_mat(n, n, tuple(field.one() if i == j else field.zero()
+                                 for i in range(n) for j in range(n)), field)
+
+
 @contextlib.contextmanager
 def dense_kernel():
     """Patch the dense products in wherever the engine binds the kernel's;
     yield the number of calls each has taken."""
-    calls = {"mat_compose": 0, "mat_tensor": 0}
+    calls = {"mat_compose": 0, "mat_tensor": 0, "mat_whisker": 0}
     patched = []
     for name, dense in (("mat_compose", dense_compose),
-                        ("mat_tensor", dense_tensor)):
+                        ("mat_tensor", dense_tensor),
+                        ("mat_whisker", dense_whisker)):
         original = getattr(kernel, name)
 
         def counted(*args, name=name, dense=dense):
@@ -118,7 +131,8 @@ def main() -> int:
     for argv in bad:
         print("differs:", " ".join(argv))
     print(f"{len(argvs)} jobs, {len(bad)} differ from the dense reference "
-          f"({calls['mat_compose']} products, {calls['mat_tensor']} tensors)")
+          f"({calls['mat_compose']} products, {calls['mat_tensor']} tensors, "
+          f"{calls['mat_whisker']} whiskers)")
     return 1 if bad or not all(calls.values()) else 0
 
 
@@ -128,7 +142,7 @@ def _bindings(name):
             and hasattr(m, name)}
 
 
-@pytest.mark.parametrize("name", ["mat_compose", "mat_tensor"])
+@pytest.mark.parametrize("name", ["mat_compose", "mat_tensor", "mat_whisker"])
 def test_dense_kernel_patches_every_binding(name):
     before = _bindings(name)
     assert {"weakcp.kernel", "weakcp.fdvect"} <= set(before)
