@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every subcommand reads a workspace JSON file (see :mod:`weakcp.jsonio`),
-runs the requested checks on the named objects it contains, and emits a
-report — aligned text by default, JSON with ``--json``.  Check lines are
+Every subcommand reads a workspace JSON file (:mod:`weakcp.jsonio`
+resolves and shape-checks its references), runs the requested checks on
+the objects it holds, and emits a report — text, or JSON with ``--json``.  Check lines are
 ordered by the label registry, so output is byte-identical across runs
 for identical inputs and flags.
 
@@ -18,7 +18,6 @@ import json
 import sys
 
 from . import __version__
-from .fdvect import UNIT
 from .fields import GF
 from .fixtures import (
     MonoidPair,
@@ -37,11 +36,9 @@ from .jsonio import (
     encode_monoid,
     encode_quadruple,
     load_workspace,
-    workspace_morphism,
 )
 from .kernel import NotIdempotentError, split_idempotent
 from .mine import EXHAUSTIVE_CAP, SearchTooLarge, mine_wdl, mine_wdl_random
-from .preunit import Preunit
 from .report import Report, ReportItem, sort_by_registry
 from .wcp import (
     PreconditionError,
@@ -51,124 +48,102 @@ from .wcp import (
 )
 
 
-def _guarded(fn) -> Report:
-    """Run a builder, turning a precondition failure into its report."""
+# ---------------------------------------------------------------------------
+# Subcommand handlers: each is a loop over the resolved entries of the
+# workspace, yielding (section name, Report, extras) triples
+# ---------------------------------------------------------------------------
+
+
+def _built(build, *args):
+    """The (report, extras) pair of ``build(*args)``, or the report of the
+    precondition that stopped it, with no extras."""
     try:
-        return fn()
+        return build(*args)
     except PreconditionError as exc:
-        return exc.report
+        return exc.report, {}
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers: each yields (section name, Report, extras) triples
-# ---------------------------------------------------------------------------
-
-
-def _cmd_check_quadruple(ws: Workspace, args):
+def _cmd_check_quadruple(ws: Workspace):
     for name, q in ws.quadruples.items():
         rep = check_quadruple(q)
         rep.extend(check_derived_identities(q))
         yield name, rep, {}
 
 
-def _cmd_build_wcp(ws: Workspace, args):
+def _crossed_product(q):
+    cp = build_crossed_product(q)
+    return cp.report, {"rank": cp.rank}
+
+
+def _cmd_build_wcp(ws: Workspace):
     for name, q in ws.quadruples.items():
-        extras = {}
-
-        def build(q=q, extras=extras):
-            cp = build_crossed_product(q)
-            extras["rank"] = cp.rank
-            return cp.report
-
-        yield name, _guarded(build), extras
+        yield name, *_built(_crossed_product, q)
 
 
-def _cmd_check_preunit(ws: Workspace, args):
-    for name, (qname, nu) in ws.preunits.items():
-        yield name, Report(list(Preunit(ws.quadruples[qname], nu).system)), {}
+def _cmd_check_preunit(ws: Workspace):
+    for name, pre in ws.preunits.items():
+        yield name, Report(list(pre.system)), {}
 
 
-def _cmd_check_link(ws: Workspace, args):
+def _cmd_check_link(ws: Workspace):
     for name, s in ws.setups.items():
         yield name, check_link(s), {}
 
 
-def _cmd_check_twisting(ws: Workspace, args):
+def _cmd_check_twisting(ws: Workspace):
     for name, s in ws.setups.items():
         yield name, check_twisting(s), {}
 
 
-def _cmd_iterate(ws: Workspace, args):
+def _iterated(s):
+    qvw, rep = build_iterated(s)
+    return rep, {"iterated": encode_quadruple(qvw)}
+
+
+def _cmd_iterate(ws: Workspace):
     for name, s in ws.setups.items():
-        extras = {}
-
-        def build(s=s, extras=extras):
-            qvw, rep = build_iterated(s)
-            extras["iterated"] = encode_quadruple(qvw)
-            return rep
-
-        yield name, _guarded(build), extras
+        yield name, *_built(_iterated, s)
 
 
 def _preunit_sections(ws: Workspace, label: str, build):
-    """One section per setup: the report of ``build(s, nu_v, nu_w,
-    extras)``, or a ``label`` item skipping a setup with no preunit pair."""
+    """One section per setup: ``build(s, pre_v, pre_w)``, or a ``label``
+    item skipping a setup with no preunit pair."""
     for name, s in ws.setups.items():
-        refs = ws.setup_preunits.get(name, (None, None))
-        if None in refs:
-            rep = Report([ReportItem(
+        pres = ws.setup_preunits[name]
+        if pres is None:
+            yield name, Report([ReportItem(
                 label, None, note="setup declares no preunit pair; skipped",
-            )])
-            yield name, rep, {}
-            continue
-        extras = {}
-        nus = tuple(ws.preunits[r][1] for r in refs)
-        yield name, _guarded(lambda: build(s, *nus, extras)), extras
+            )]), {}
+        else:
+            yield name, *_built(build, s, *pres)
 
 
-def _cmd_iterated_preunit(ws: Workspace, args):
-    def build(s, nu_v, nu_w, extras):
-        return iterated_preunit(s, Preunit(s.qv, nu_v), Preunit(s.qw, nu_w))[1]
-
-    return _preunit_sections(ws, "iterated-preunit", build)
+def _cmd_iterated_preunit(ws: Workspace):
+    return _preunit_sections(ws, "iterated-preunit", lambda *args: (
+        iterated_preunit(*args)[1], {}))
 
 
-def _cmd_iso(ws: Workspace, args):
-    def build(s, nu_v, nu_w, extras):
-        bundle = build_iso(s, nu_v, nu_w)
-        extras["rank"] = bundle.outer.dim
-        return bundle.report
-
-    return _preunit_sections(ws, "omega-mult", build)
+def _iso(s, pre_v, pre_w):
+    bundle = build_iso(s, pre_v.nu, pre_w.nu)
+    return bundle.report, {"rank": bundle.outer.dim}
 
 
-def _cmd_check_wreath(ws: Workspace, args):
+def _cmd_iso(ws: Workspace):
+    return _preunit_sections(ws, "omega-mult", _iso)
+
+
+def _cmd_check_wreath(ws: Workspace):
     for name, entry in ws.wreaths.items():
-        refs = entry[1]
-        a, b = ws.monoids[refs["a"]], ws.monoids[refs["b"]]
-        ab = a.obj @ b.obj
-        lam = workspace_morphism(ws, entry, "lam", b.obj @ a.obj, ab)
-        tau = workspace_morphism(ws, entry, "tau", UNIT, ab)
-        v = workspace_morphism(ws, entry, "v", b.obj @ b.obj, ab)
-        yield name, check_wreath(a, b, lam, tau, v), {}
+        yield name, check_wreath(*entry), {}
 
 
-def _law_entries(ws: Workspace):
+def _cmd_check_dl(ws: Workspace):
     for name, entry in ws.laws.items():
-        refs = entry[1]
-        a, b = ws.monoids[refs["a"]], ws.monoids[refs["b"]]
-        lam = workspace_morphism(ws, entry, "lam", b.obj @ a.obj,
-                                 a.obj @ b.obj)
-        yield name, a, b, lam
+        yield name, check_distributive_law(*entry), {}
 
 
-def _cmd_check_dl(ws: Workspace, args):
-    for name, a, b, lam in _law_entries(ws):
-        yield name, check_distributive_law(a, b, lam), {}
-
-
-def _cmd_check_wdl(ws: Workspace, args):
-    for name, a, b, lam in _law_entries(ws):
+def _cmd_check_wdl(ws: Workspace):
+    for name, (a, b, lam) in ws.laws.items():
         pair = MonoidPair(a, b)
         rep = pair.check_wdl(lam)
         if rep.ok:
@@ -176,22 +151,17 @@ def _cmd_check_wdl(ws: Workspace, args):
         yield name, rep, {}
 
 
-def _cmd_check_brz(ws: Workspace, args):
+def _cmd_check_brz(ws: Workspace):
     for name, entry in ws.brz.items():
-        q = ws.quadruples[entry[1]["quadruple"]]
-        eta_v = workspace_morphism(ws, entry, "eta_v", UNIT, q.v)
-        yield name, check_brzezinski(q, eta_v), {}
+        yield name, check_brzezinski(*entry), {}
 
 
-def _cmd_check_dp(ws: Workspace, args):
+def _cmd_check_dp(ws: Workspace):
     for name, entry in ws.dp.items():
-        s = ws.setups[entry[1]["setup"]]
-        eta_v = workspace_morphism(ws, entry, "eta_v", UNIT, s.qv.v)
-        eta_w = workspace_morphism(ws, entry, "eta_w", UNIT, s.qw.v)
-        yield name, check_dp(s, eta_v, eta_w), {}
+        yield name, check_dp(*entry), {}
 
 
-def _cmd_split_idempotent(ws: Workspace, args):
+def _cmd_split_idempotent(ws: Workspace):
     for name, m in ws.morphisms.items():
         if m.rows != m.cols:
             rep = Report([ReportItem(
@@ -244,7 +214,7 @@ _HANDLERS = {
 
 
 def _cmd_mine_wdl(args):
-    """Run the miner and return (payload, text lines, exit code)."""
+    """Run the miner and return (payload, text lines)."""
     try:
         field = GF(args.field)
     except ValueError as exc:
@@ -312,7 +282,7 @@ def _cmd_mine_wdl(args):
             "quadruples": [dict(name="mined", **encode_quadruple(q))],
         }
         lines.append(f"fixture quadruple built from code {fixture.code}")
-    return payload, lines, 0
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +301,7 @@ def _emit(text: str, args):
 def _run_sections(args) -> int:
     ws = load_workspace(args.file)
     sections = []
-    for name, rep, extras in _HANDLERS[args.command][0](ws, args):
+    for name, rep, extras in _HANDLERS[args.command][0](ws):
         sections.append((name, sort_by_registry(rep), extras))
     ok = all(rep.ok for _, rep, _ in sections)
     if args.json:
@@ -401,12 +371,12 @@ def main(argv=None) -> int:
                 print("error: the random search needs --budget",
                       file=sys.stderr)
                 return 2
-            payload, lines, code = _cmd_mine_wdl(args)
+            payload, lines = _cmd_mine_wdl(args)
             if args.json:
                 _emit(json.dumps(payload, indent=2, sort_keys=True), args)
             else:
                 _emit("\n".join(lines), args)
-            return code
+            return 0
         return _run_sections(args)
     except WorkspaceError as exc:
         print(f"error: {exc.pointer or '/'}: {exc.message}", file=sys.stderr)

@@ -37,7 +37,7 @@ from .report import Report, ReportItem
 from .wcp import build_crossed_product, require
 
 
-def check_newit(s: IterSetup, nu_v: FMor, nu_w: FMor) -> Report:
+def check_newit(s: IterSetup, nu_w: FMor) -> Report:
     """The three extra identities that make the two-stage product work."""
     a, v, w = s.qv.a, s.qv.v, s.qw.v
     psi_v, psi_w = s.qv.psi, s.qw.psi
@@ -110,7 +110,7 @@ def build_iso(s: IterSetup, nu_v: FMor, nu_w: FMor) -> IsoBundle:
                             for pre in (pre_vw, pre_v, pre_w))
     cp_v, cp_vw = ucp_v.cp, ucp_vw.cp
 
-    rep = require(check_newit(s, nu_v, nu_w), "extra identities fail")
+    rep = require(check_newit(s, nu_w), "extra identities fail")
 
     # the embeddings and the restricted idempotent
     i_axv = compose(cp_vw.proj, s.mupsi_w, tensor(cp_v.inj, nu_w))

@@ -15,17 +15,21 @@ module is the only one where matrices are dense: the decoders turn the
 validated list into rows of nonzeros, and the encoders write it from the
 rows, each zero as ``0`` over GF(p) and ``"0"`` over Q.
 
-Malformed input raises :class:`WorkspaceError` carrying a JSON pointer
-(RFC 6901) to the offending field, which the CLI surfaces with exit
-code 2.  The collections are lists, so a pointer indexes into them
-(``/wreaths/0/v``); each reference entry keeps its own pointer for the
-errors found after decoding, such as a referenced matrix of the wrong
-shape.
+This module alone knows the schema: every reference is resolved to the
+object it names, and every referenced matrix is shape-checked against
+its role, when the file is loaded.  Malformed input raises
+:class:`WorkspaceError` carrying a JSON pointer (RFC 6901) to the
+offending field, which the CLI surfaces with exit code 2.  The
+collections are lists, so a pointer indexes into them
+(``/wreaths/0/v``).  A file that is not JSON, nests deeper than the
+parser recurses, or holds a rational whose decimal exponent would give
+more digits than ``int()`` reads is refused the same way.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
 
@@ -33,7 +37,13 @@ from .fdvect import FMor, FObj, MonoidData, UNIT, vobj
 from .fields import PrimeField, field_from_descriptor
 from .iterate import IterSetup
 from .kernel import Mat
+from .preunit import Preunit
 from .wcp import Quadruple
+
+# int() refuses a digit string longer than this; a decimal exponent giving
+# as many digits is refused alike, before Fraction spends minutes on it
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class WorkspaceError(ValueError):
@@ -63,17 +73,34 @@ def _get(obj: dict, key: str, typ, what: str, ptr: str):
     return _expect(obj[key], typ, what, f"{ptr}/{key}")
 
 
-def _check_shape(m: Mat, rows: int, cols: int, what: str, ptr: str) -> Mat:
-    if (m.rows, m.cols) != (rows, cols):
+def _as_map(m: Mat, dom: FObj, cod: FObj, what: str, ptr: str) -> FMor:
+    """m as a map dom -> cod; it must have that shape."""
+    if (m.rows, m.cols) != (cod.dim, dom.dim):
         raise WorkspaceError(
-            f"{what} must be {rows}x{cols}, got {m.rows}x{m.cols}", ptr)
-    return m
+            f"{what} must be {cod.dim}x{dom.dim}, got {m.rows}x{m.cols}", ptr)
+    return FMor(dom, cod, m)
 
 
-def _opt(obj: dict, key: str, typ, what: str, ptr: str, default=None):
-    if key not in obj:
-        return default
-    return _expect(obj[key], typ, what, f"{ptr}/{key}")
+def _ref(obj: dict, key: str, collection: dict, kind: str, ptr: str):
+    """The entry of ``collection`` that the name under ``key`` refers to."""
+    name = _get(obj, key, str, f"a {kind} name", ptr)
+    if name not in collection:
+        raise WorkspaceError(f"unknown {kind} {name!r}", f"{ptr}/{key}")
+    return collection[name]
+
+
+def _map_ref(obj: dict, key: str, morphisms: dict, dom: FObj, cod: FObj,
+             ptr: str) -> FMor:
+    """The morphism named under ``key``, as a map dom -> cod."""
+    m = _ref(obj, key, morphisms, "morphism", ptr)
+    return _as_map(m, dom, cod, f"morphism {obj[key]!r}", f"{ptr}/{key}")
+
+
+def _decode_map(obj: dict, key: str, dom: FObj, cod: FObj, field, ptr: str,
+                what: str | None = None) -> FMor:
+    """The matrix under ``key``, decoded as a map dom -> cod."""
+    m = decode_mat(obj.get(key), field, f"{ptr}/{key}")
+    return _as_map(m, dom, cod, what or key, f"{ptr}/{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,24 +123,38 @@ def decode_scalar(x, field, ptr: str):
             )
         return v
     _expect(x, (str, int), "a rational entry", ptr)
+    if type(x) is str and not _exponent_ok(x):
+        raise WorkspaceError(
+            f"bad rational {x!r}: its decimal exponent gives more than "
+            f"{_MAX_DIGITS} digits", ptr)
     try:
         return field.coerce(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise WorkspaceError(f"bad rational {x!r}: {exc}", ptr) from None
 
 
+def _exponent_ok(x: str) -> bool:
+    """Whether x has no decimal exponent, or one below ``_MAX_DIGITS``."""
+    m = _EXPONENT.search(x)
+    try:
+        return m is None or abs(int(m[1])) < _MAX_DIGITS
+    except ValueError:  # the exponent alone has more digits than that
+        return False
+
+
 def _decode_scalars(xs: list, field, ptr: str) -> tuple:
     """The entries of a JSON list, decoded by :func:`decode_scalar`.
 
-    The whole list is checked at once; only when that check fails are the
-    entries decoded one by one, and the JSON pointer ``ptr/i`` is formatted
-    only for the first bad entry.
+    The whole list is checked at once; only when that check fails, or a
+    rational has an exponent, are the entries decoded one by one, and the
+    JSON pointer ``ptr/i`` is formatted only for the first bad entry.
     """
     if isinstance(field, PrimeField):
         p = field.p
         if all(type(x) is int and 0 <= x < p for x in xs):
             return tuple(xs)
-    elif all(type(x) is int or type(x) is str for x in xs):
+    elif all(type(x) is int or (type(x) is str and "e" not in x
+                                and "E" not in x) for x in xs):
         try:
             return tuple(map(field.coerce, xs))
         except (ValueError, ZeroDivisionError):
@@ -200,10 +241,9 @@ def decode_monoid(obj, field, ptr: str) -> MonoidData:
         raise WorkspaceError(f"dimension must be positive, got {dim}", f"{ptr}/dim")
     unit = decode_vector(_get(obj, "unit", list, "a unit vector", ptr),
                          dim, field, f"{ptr}/unit")
-    mul = _check_shape(decode_mat(obj.get("mul"), field, f"{ptr}/mul"),
-                       dim, dim * dim, "multiplication", f"{ptr}/mul")
     a = vobj(name, dim)
-    return MonoidData(name, a, FMor(a @ a, a, mul), FMor(UNIT, a, unit))
+    mul = _decode_map(obj, "mul", a @ a, a, field, ptr, "multiplication")
+    return MonoidData(name, a, mul, FMor(UNIT, a, unit))
 
 
 def encode_quadruple(q: Quadruple) -> dict:
@@ -217,60 +257,40 @@ def encode_quadruple(q: Quadruple) -> dict:
 
 def decode_quadruple(obj, name: str, monoids: dict, field, ptr: str) -> Quadruple:
     _expect(obj, dict, "a quadruple object", ptr)
-    mname = _get(obj, "monoid", str, "a monoid name", ptr)
-    if mname not in monoids:
-        raise WorkspaceError(f"unknown monoid {mname!r}", f"{ptr}/monoid")
-    m = monoids[mname]
+    m = _ref(obj, "monoid", monoids, "monoid", ptr)
     vdim = _get(obj, "V", int, "a dimension", ptr)
     if vdim < 1:
         raise WorkspaceError(f"dimension must be positive, got {vdim}", f"{ptr}/V")
-    v = vobj(name, vdim)
-    da, dv = m.dim, vdim
-    psi = _check_shape(decode_mat(obj.get("psi"), field, f"{ptr}/psi"),
-                       da * dv, dv * da, "psi", f"{ptr}/psi")
-    sigma = _check_shape(decode_mat(obj.get("sigma"), field, f"{ptr}/sigma"),
-                         da * dv, dv * dv, "sigma", f"{ptr}/sigma")
-    return Quadruple(m, v, FMor(v @ m.obj, m.obj @ v, psi),
-                     FMor(v @ v, m.obj @ v, sigma))
+    a, v = m.obj, vobj(name, vdim)
+    return Quadruple(m, v, _decode_map(obj, "psi", v @ a, a @ v, field, ptr),
+                     _decode_map(obj, "sigma", v @ v, a @ v, field, ptr))
 
 
 def encode_preunit(qname: str, nu: FMor) -> dict:
     return {"quadruple": qname, "entries": encode_vector(nu.mat)}
 
 
-def decode_preunit(obj, quadruples: dict, field, ptr: str):
+def decode_preunit(obj, quadruples: dict, field, ptr: str) -> Preunit:
     _expect(obj, dict, "a preunit object", ptr)
-    qname = _get(obj, "quadruple", str, "a quadruple name", ptr)
-    if qname not in quadruples:
-        raise WorkspaceError(f"unknown quadruple {qname!r}", f"{ptr}/quadruple")
-    q = quadruples[qname]
+    q = _ref(obj, "quadruple", quadruples, "quadruple", ptr)
     vec = decode_vector(
         _get(obj, "entries", list, "an entry vector", ptr),
         q.a.dim * q.v.dim, field, f"{ptr}/entries",
     )
-    return qname, FMor(UNIT, q.a @ q.v, vec)
+    return Preunit(q, FMor(UNIT, q.a @ q.v, vec))
 
 
 def decode_setup(obj, quadruples: dict, field, ptr: str) -> IterSetup:
     _expect(obj, dict, "a setup object", ptr)
-    names = []
-    for key in ("first", "second"):
-        qname = _get(obj, key, str, "a quadruple name", ptr)
-        if qname not in quadruples:
-            raise WorkspaceError(f"unknown quadruple {qname!r}", f"{ptr}/{key}")
-        names.append(qname)
-    qv, qw = quadruples[names[0]], quadruples[names[1]]
+    qv, qw = (_ref(obj, key, quadruples, "quadruple", ptr)
+              for key in ("first", "second"))
     if qv.monoid != qw.monoid:
         raise WorkspaceError(
             "the two quadruples must share the same monoid", ptr
         )
-    dv, dw = qv.v.dim, qw.v.dim
-    delta = _check_shape(decode_mat(obj.get("delta"), field, f"{ptr}/delta"),
-                         dv * dw, dv * dw, "delta", f"{ptr}/delta")
-    tau = _check_shape(decode_mat(obj.get("tau"), field, f"{ptr}/tau"),
-                       dv * dw, dw * dv, "tau", f"{ptr}/tau")
     vw = qv.v @ qw.v
-    return IterSetup(qv, qw, FMor(vw, vw, delta), FMor(qw.v @ qv.v, vw, tau))
+    return IterSetup(qv, qw, _decode_map(obj, "delta", vw, vw, field, ptr),
+                     _decode_map(obj, "tau", qw.v @ qv.v, vw, field, ptr))
 
 
 def encode_setup(qv_name: str, qw_name: str, s: IterSetup,
@@ -295,16 +315,18 @@ def encode_setup(qv_name: str, qw_name: str, s: IterSetup,
 
 @dataclass
 class Workspace:
-    """Decoded contents of a workspace file.
+    """Decoded contents of a workspace file, every reference resolved.
 
-    Collections are name-keyed dicts in file order.  ``morphisms`` holds
-    raw matrices used by the example checkers (laws, wreath data,
-    distinguished elements); consumers wrap them in the appropriate
-    domain/codomain.  ``preunits`` maps each preunit name to a pair
-    (quadruple name, morphism); ``setup_preunits`` records the optional
-    ``nu_first``/``nu_second`` references of each setup.  ``wreaths``,
-    ``laws``, ``brz`` and ``dp`` map each name to a pair (JSON pointer
-    of the entry, {role key: referenced name}).
+    Collections are name-keyed dicts in file order, and each entry holds
+    the objects it names, never a name.  ``morphisms`` holds the raw
+    matrices of the file.  ``preunits`` maps each preunit to its
+    :class:`~weakcp.preunit.Preunit` owner over its quadruple, and
+    ``setup_preunits`` maps each setup to the pair of owners its
+    ``nu_first`` and ``nu_second`` name, or to None when it does not name
+    both.  The example entries are argument tuples of their checkers, with
+    every morphism shape-checked against its role: ``wreaths`` (a, b, lam,
+    tau, v), ``laws`` (a, b, lam), ``brz`` (q, eta_v) and ``dp``
+    (s, eta_v, eta_w).
     """
 
     field: object
@@ -322,7 +344,7 @@ class Workspace:
 
 def _named_section(obj, key: str, ptr: str):
     """Iterate a list-of-named-objects section, checking name uniqueness."""
-    section = _opt(obj, key, list, "a list", ptr, default=[])
+    section = _get(obj, key, list, "a list", ptr) if key in obj else []
     seen = set()
     for i, entry in enumerate(section):
         eptr = f"{ptr}/{key}/{i}"
@@ -334,8 +356,27 @@ def _named_section(obj, key: str, ptr: str):
         yield name, entry, eptr
 
 
+def _setup_preunits(entry: dict, s: IterSetup, ws: Workspace, ptr: str):
+    """The Preunit owners that a setup's ``nu_first`` and ``nu_second``
+    name, each of its own quadruple, or None unless both are named."""
+    pres = []
+    for key, qkey, q in (("nu_first", "first", s.qv),
+                         ("nu_second", "second", s.qw)):
+        if key not in entry:
+            continue
+        pre = _ref(entry, key, ws.preunits, "preunit", ptr)
+        if pre.quad is not q:
+            owner = next(n for n, o in ws.quadruples.items() if o is pre.quad)
+            raise WorkspaceError(
+                f"preunit {entry[key]!r} belongs to quadruple {owner!r}, "
+                f"not to the {qkey} quadruple {entry[qkey]!r}", f"{ptr}/{key}")
+        pres.append(pre)
+    return tuple(pres) if len(pres) == 2 else None
+
+
 def decode_workspace(obj) -> Workspace:
-    """Decode an already-parsed JSON object into a Workspace."""
+    """Decode an already-parsed JSON object into a Workspace, resolving
+    every reference and checking the shape of every referenced matrix."""
     _expect(obj, dict, "a workspace object", "")
     if "field" not in obj:
         raise WorkspaceError("missing required key 'field'", "")
@@ -346,8 +387,9 @@ def decode_workspace(obj) -> Workspace:
     ws = Workspace(field=field)
     for name, entry, ptr in _named_section(obj, "monoids", ""):
         ws.monoids[name] = decode_monoid(entry, field, ptr)
+    mors = ws.morphisms
     for name, entry, ptr in _named_section(obj, "morphisms", ""):
-        ws.morphisms[name] = decode_mat(entry.get("mat"), field, f"{ptr}/mat")
+        mors[name] = decode_mat(entry.get("mat"), field, f"{ptr}/mat")
     for name, entry, ptr in _named_section(obj, "quadruples", ""):
         ws.quadruples[name] = decode_quadruple(
             entry, name, ws.monoids, field, ptr
@@ -355,57 +397,26 @@ def decode_workspace(obj) -> Workspace:
     for name, entry, ptr in _named_section(obj, "preunits", ""):
         ws.preunits[name] = decode_preunit(entry, ws.quadruples, field, ptr)
     for name, entry, ptr in _named_section(obj, "setups", ""):
-        ws.setups[name] = decode_setup(entry, ws.quadruples, field, ptr)
-        refs = []
-        for key, qkey in (("nu_first", "first"), ("nu_second", "second")):
-            pname = _opt(entry, key, str, "a preunit name", ptr)
-            owner = ws.preunits.get(pname, (None,))[0]
-            if pname is not None and owner != entry[qkey]:
-                raise WorkspaceError(
-                    f"unknown preunit {pname!r}" if owner is None else
-                    f"preunit {pname!r} belongs to quadruple {owner!r}, "
-                    f"not to the {qkey} quadruple {entry[qkey]!r}",
-                    f"{ptr}/{key}")
-            refs.append(pname)
-        ws.setup_preunits[name] = tuple(refs)
+        s = ws.setups[name] = decode_setup(entry, ws.quadruples, field, ptr)
+        ws.setup_preunits[name] = _setup_preunits(entry, s, ws, ptr)
     for name, entry, ptr in _named_section(obj, "wreaths", ""):
-        ws.wreaths[name] = ptr, _decode_refs(
-            entry, ptr, monoids={"a": ws.monoids, "b": ws.monoids},
-            morphisms={"lam": ws.morphisms, "tau": ws.morphisms,
-                       "v": ws.morphisms},
-        )
+        a, b = (_ref(entry, key, ws.monoids, "monoid", ptr) for key in "ab")
+        ab = a.obj @ b.obj
+        ws.wreaths[name] = (a, b, *(
+            _map_ref(entry, key, mors, dom, ab, ptr) for key, dom in (
+                ("lam", b.obj @ a.obj), ("tau", UNIT), ("v", b.obj @ b.obj))))
     for name, entry, ptr in _named_section(obj, "laws", ""):
-        ws.laws[name] = ptr, _decode_refs(
-            entry, ptr, monoids={"a": ws.monoids, "b": ws.monoids},
-            morphisms={"lam": ws.morphisms},
-        )
+        a, b = (_ref(entry, key, ws.monoids, "monoid", ptr) for key in "ab")
+        ws.laws[name] = a, b, _map_ref(entry, "lam", mors, b.obj @ a.obj,
+                                       a.obj @ b.obj, ptr)
     for name, entry, ptr in _named_section(obj, "brz", ""):
-        ws.brz[name] = ptr, _decode_refs(
-            entry, ptr, quadruples={"quadruple": ws.quadruples},
-            morphisms={"eta_v": ws.morphisms},
-        )
+        q = _ref(entry, "quadruple", ws.quadruples, "quadruple", ptr)
+        ws.brz[name] = q, _map_ref(entry, "eta_v", mors, UNIT, q.v, ptr)
     for name, entry, ptr in _named_section(obj, "dp", ""):
-        ws.dp[name] = ptr, _decode_refs(
-            entry, ptr, setups={"setup": ws.setups},
-            morphisms={"eta_v": ws.morphisms, "eta_w": ws.morphisms},
-        )
+        s = _ref(entry, "setup", ws.setups, "setup", ptr)
+        ws.dp[name] = (s, _map_ref(entry, "eta_v", mors, UNIT, s.qv.v, ptr),
+                       _map_ref(entry, "eta_w", mors, UNIT, s.qw.v, ptr))
     return ws
-
-
-def _decode_refs(entry: dict, ptr: str, **kinds) -> dict:
-    """Check that every reference key in ``entry`` resolves; return the
-    name mapping.  ``kinds`` maps a role key to the collection it must
-    resolve in (keyed by collection kind for the error message)."""
-    out = {}
-    for kind, roles in kinds.items():
-        for key, collection in roles.items():
-            ref = _get(entry, key, str, f"a {kind[:-1]} name", ptr)
-            if ref not in collection:
-                raise WorkspaceError(
-                    f"unknown {kind[:-1]} {ref!r}", f"{ptr}/{key}"
-                )
-            out[key] = ref
-    return out
 
 
 def load_workspace(path: str) -> Workspace:
@@ -413,17 +424,8 @@ def load_workspace(path: str) -> Workspace:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an integer literal of
+        # more digits than int() reads; RecursionError, too deep nesting
+        except (ValueError, RecursionError) as exc:
             raise WorkspaceError(f"invalid JSON: {exc}", "") from None
     return decode_workspace(obj)
-
-
-def workspace_morphism(ws: Workspace, entry: tuple, key: str, dom: FObj,
-                       cod: FObj) -> FMor:
-    """Resolve the morphism that the reference ``key`` of ``entry``, a
-    (pointer, references) pair of the workspace, names, as a map
-    dom -> cod; its shape is checked against dom and cod."""
-    ptr, refs = entry
-    name = refs[key]
-    return FMor(dom, cod, _check_shape(ws.morphisms[name], cod.dim, dom.dim,
-                                       f"morphism {name!r}", f"{ptr}/{key}"))

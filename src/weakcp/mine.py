@@ -426,13 +426,12 @@ def mine_wdl_random(a: MonoidData, b: MonoidData, seed: int, tries: int) -> Mine
     def codes(law, axioms):
         rng = random.Random(seed)
         space = law.space
-        seen = set()
+        seen = set()  # only laws: a repeated code fails the law again
         for _ in range(tries):
             code = rng.randrange(space)
-            if code not in seen:
+            if law.holds(code) and code not in seen:
                 seen.add(code)
-                if law.holds(code):
-                    yield code
+                yield code
 
     return _mine(a, b, codes)
 

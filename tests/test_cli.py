@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from weakcp.cli import main
+from weakcp.cli import _HANDLERS, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -209,6 +209,8 @@ WRONG_SHAPE = [
                          ids=[c for _, c, _, _ in WRONG_SHAPE])
 def test_reference_of_wrong_shape_points_into_the_list(
         fname, cmd, edit, error, capsys, tmp_path):
+    # every reference is shape-checked at load, so not only the
+    # subcommand that reads the entry refuses the file
     with open(fx(fname)) as fh:
         doc = json.load(fh)
     doc["morphisms"].append({"name": "sq", "mat": {
@@ -216,8 +218,9 @@ def test_reference_of_wrong_shape_points_into_the_list(
     edit(doc)
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
-    assert main([cmd, str(path)]) == 2
-    assert capsys.readouterr().err == error + "\n"
+    for command in [cmd, *_HANDLERS]:
+        assert main([command, str(path)]) == 2, command
+        assert capsys.readouterr().err == error + "\n"
 
 
 def test_workspace_string_prime_exits_2(capsys, tmp_path):

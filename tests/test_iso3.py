@@ -42,8 +42,8 @@ def double(request):
 
 
 def test_check_newit(double):
-    _, s, nu_v, nu_w = double
-    rep = check_newit(s, nu_v, nu_w)
+    _, s, _, nu_w = double
+    rep = check_newit(s, nu_w)
     assert rep.ok, rep.render()
     assert [i.label for i in rep.items] == ["new-it-1", "new-it-2", "new-it-3"]
 

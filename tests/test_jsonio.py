@@ -105,7 +105,9 @@ def test_workspace_round_trip():
     ws = decode_workspace(full_workspace())
     assert set(ws.quadruples) == {"V", "W"}
     assert check_quadruple(ws.quadruples["V"]).ok
-    assert ws.setup_preunits["flip"] == ("nu_v", "nu_w")
+    pre_v, pre_w = ws.setup_preunits["flip"]
+    assert pre_v is ws.preunits["nu_v"] and pre_w is ws.preunits["nu_w"]
+    assert pre_v.quad is ws.quadruples["V"] and pre_w.quad is ws.quadruples["W"]
     s = ws.setups["flip"]
     assert s.qv.monoid == s.qw.monoid
 
@@ -202,6 +204,37 @@ def test_load_workspace_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(WorkspaceError):
         load_workspace(str(path))
+
+
+@pytest.mark.parametrize("data", [
+    b"[" * 100_000 + b"]" * 100_000,  # deeper than the parser recurses
+    b'{"field": {"type": "Q"}, "x": ' + b"1" * 5000 + b"}",  # int() refuses it
+    b'{"field": "\xff"}',  # not UTF-8
+], ids=["deep", "long-int", "latin-1"])
+def test_unreadable_json_exits_2_without_traceback(data, tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(data)
+    assert main(["check-quadruple", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: /: invalid JSON: ")
+
+
+@pytest.mark.parametrize("entry", ["1e5000", "1E-4300", "1e99999999",
+                                   "1e" + "9" * 5000, "1" * 5000])
+def test_rational_of_too_many_digits_exits_2(entry, tmp_path, capsys):
+    # Fraction("1e99999999") would spend minutes on the power of ten
+    obj = _fixture("flip_triple_q.json")
+    obj["monoids"][0]["mul"]["entries"][0] = entry
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check-quadruple", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: /monoids/0/mul/entries/0: bad rational '{entry}': ")
+
+
+def test_small_exponent_decodes():
+    m = decode_mat({"rows": 1, "cols": 3, "entries": ["3e2", "1e-2", "1e4299"]},
+                   QQ, "/m")
+    assert m.entries == (300, Fraction(1, 100), 10**4299)
 
 
 def test_load_generated_fixture_files():
